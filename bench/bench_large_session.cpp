@@ -21,11 +21,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "bench_common.hpp"
+#include "runner/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace continu;
@@ -40,9 +40,20 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
       name = argv[++i];
     } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration = std::strtod(argv[++i], nullptr);
+      const auto parsed = runner::cli::parse_nonneg_double(argv[++i]);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "--duration expects seconds >= 0, got '%s'\n", argv[i]);
+        return 1;
+      }
+      duration = *parsed;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      const auto parsed = runner::cli::parse_uint(argv[++i]);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "--seed expects a non-negative integer, got '%s'\n",
+                     argv[i]);
+        return 1;
+      }
+      seed = *parsed;
     } else if (std::strcmp(argv[i], "--obs") == 0) {
       obs = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {

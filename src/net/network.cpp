@@ -12,26 +12,7 @@ namespace continu::net {
 Network::Network(sim::Simulator& sim, LatencyModel latency)
     : sim_(sim),
       latency_(std::move(latency)),
-      grid_s_(latency_.grid_ms() / 1000.0) {
-  // Quantized mode on the sharded engine: hand-offs park in per-lane
-  // heaps instead of proxy-evented buckets, and the simulator's
-  // frontier loop calls back at each barrier instant. One lane per
-  // queue shard keeps the drain fork aligned with the engine's shard
-  // count.
-  if (grid_s_ > 0.0 && sim_.sharded()) {
-    lanes_ = std::make_unique<DeliveryLanes>(sim_.queue_shards());
-    sim::Simulator::FrontierHook hook;
-    hook.next_key = [this](SimTime& time, std::uint64_t& seq) {
-      return lanes_->next_key(time, seq);
-    };
-    hook.dispatch = [this](SimTime time) { fire_frontier(time); };
-    hook.dispatch_window = [this](SimTime limit,
-                                  const std::function<void(SimTime)>& begin) {
-      return fire_frontier_window(limit, begin);
-    };
-    sim_.set_frontier_hook(std::move(hook));
-  }
-}
+      grid_s_(latency_.grid_ms() / 1000.0) {}
 
 void Network::charge_only(MessageType type, Bits bits) {
   traffic_.charge(traffic_class_of(type), bits);
@@ -89,15 +70,6 @@ void Network::enqueue_sharded(std::uint32_t to, SimTime when,
   // to now, which is fine); entries targeting the current instant land
   // in a bucket whose proxy fires later within this instant.
   if (when < sim_.now()) when = sim_.now();
-  if (lanes_ != nullptr) {
-    // Sharded engine: rank the hand-off with a sequence from the
-    // global stream. The FIRST hand-off targeting an instant holds
-    // the same rank the single-queue engine's bucket proxy would
-    // (both are assigned at first enqueue), so the barrier dispatch
-    // lands at the identical point of the global event order.
-    lanes_->enqueue(to, filtered, when, sim_.allocate_seq(), std::move(action));
-    return;
-  }
   auto [it, inserted] = buckets_.try_emplace(when);
   if (inserted) {
     if (!spare_entry_vecs_.empty()) {
@@ -110,112 +82,20 @@ void Network::enqueue_sharded(std::uint32_t to, SimTime when,
     const SimTime time = when;
     sim_.schedule_at(time, [this, time] { fire_bucket(time); });
   }
-  it->second.entries.push_back(ShardedEntry{to, filtered, std::move(action)});
+  it->second.entries.push_back(HandoffEntry{to, filtered, std::move(action)});
 }
 
 void Network::fire_bucket(SimTime time) {
   const auto it = buckets_.find(time);
   if (it == buckets_.end()) return;  // defensive: bucket map out of sync
-  std::vector<ShardedEntry> entries = std::move(it->second.entries);
+  std::vector<HandoffEntry> entries = std::move(it->second.entries);
   buckets_.erase(it);
   dispatch_bucket(entries);
   entries.clear();
   spare_entry_vecs_.push_back(std::move(entries));
 }
 
-void Network::fire_frontier(SimTime time) {
-  ++frontier_barriers_;
-  const unsigned nlanes = lanes_->lane_count();
-  // Phase A: per-lane pops of this instant's hand-offs. Each lane
-  // touches only its own heap and due list, so the pops fork across
-  // the session executor (shard boundaries are one lane per shard —
-  // thread-count independent by construction). The inline fallback
-  // walks the identical decomposition.
-  if (obs_profiler_ != nullptr) {
-    obs_profiler_->begin_fork_phase(obs::Phase::kShardDrain, nlanes);
-  }
-  const auto body = [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t lane = begin; lane < end; ++lane) {
-      lanes_->collect_due(static_cast<unsigned>(lane), time);
-    }
-  };
-  if (exec_ != nullptr) {
-    exec_->for_shards(nlanes, /*grain=*/1, body);
-  } else {
-    for (unsigned lane = 0; lane < nlanes; ++lane) {
-      lanes_->collect_due(lane, time);
-    }
-  }
-  // Phase B: serial merge by global sequence reconstructs the exact
-  // entry order the single-queue engine's bucket vector would hold;
-  // the unchanged dispatch path does the rest, byte for byte.
-  frontier_entries_.clear();
-  const std::size_t active = lanes_->merge_due(frontier_entries_);
-  frontier_stalled_lanes_ += nlanes - active;
-  dispatch_bucket(frontier_entries_);
-  frontier_entries_.clear();
-}
-
-std::size_t Network::fire_frontier_window(
-    SimTime limit, const std::function<void(SimTime)>& begin_instant) {
-  SimTime head_time = 0.0;
-  std::uint64_t head_seq = 0;
-  if (!lanes_->next_key(head_time, head_seq) || head_time > limit) return 0;
-  ++lax_handoff_windows_;
-  const unsigned nlanes = lanes_->lane_count();
-  // Phase A: per-lane pops of EVERY instant in the window — the same
-  // lane-local ownership as fire_frontier, with k+1 instants' worth of
-  // entries amortizing one fork instead of one per barrier.
-  if (obs_profiler_ != nullptr) {
-    obs_profiler_->begin_fork_phase(obs::Phase::kLaxDrain, nlanes);
-  }
-  const auto body = [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t lane = begin; lane < end; ++lane) {
-      lanes_->collect_due_window(static_cast<unsigned>(lane), limit);
-    }
-  };
-  if (exec_ != nullptr) {
-    exec_->for_shards(nlanes, /*grain=*/1, body);
-  } else {
-    for (unsigned lane = 0; lane < nlanes; ++lane) {
-      lanes_->collect_due_window(lane, limit);
-    }
-  }
-  // Phase B: one serial merge by (time, seq) for the whole window,
-  // then each instant's run dispatches through the unchanged bucket
-  // path at its own clock — within an instant the entry order is
-  // exactly the strict barrier's.
-  frontier_entries_.clear();
-  frontier_times_.clear();
-  const std::size_t active = lanes_->merge_due_window(frontier_entries_,
-                                                      frontier_times_);
-  frontier_stalled_lanes_ += nlanes - active;
-  std::size_t instants = 0;
-  std::size_t begin = 0;
-  std::vector<ShardedEntry> batch;
-  while (begin < frontier_entries_.size()) {
-    const SimTime instant = frontier_times_[begin];
-    std::size_t end = begin;
-    while (end < frontier_entries_.size() && frontier_times_[end] == instant) {
-      ++end;
-    }
-    begin_instant(instant);
-    ++frontier_barriers_;
-    ++instants;
-    batch.clear();
-    batch.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      batch.push_back(std::move(frontier_entries_[i]));
-    }
-    dispatch_bucket(batch);
-    begin = end;
-  }
-  frontier_entries_.clear();
-  frontier_times_.clear();
-  return instants;
-}
-
-void Network::dispatch_bucket(std::vector<ShardedEntry>& entries) {
+void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
   ++delivery_batches_;
   batched_deliveries_ += entries.size();
 
@@ -270,7 +150,7 @@ void Network::dispatch_bucket(std::vector<ShardedEntry>& entries) {
     for (std::size_t g = begin; g < end; ++g) {
       const ReceiverGroup& group = groups_[g];
       for (const std::uint32_t index : group.entry_indices) {
-        ShardedEntry& entry = entries[index];
+        HandoffEntry& entry = entries[index];
         if (entry.filtered && filter_ && !filter_(entry.to)) {
           ++scratch.dropped;
           entry.action.reset();

@@ -29,13 +29,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "net/delivery.hpp"
-#include "net/handoff.hpp"
 #include "net/latency_model.hpp"
 #include "net/message.hpp"
 #include "net/traffic.hpp"
@@ -53,6 +51,14 @@ class TraceSink;
 }  // namespace continu::obs
 
 namespace continu::net {
+
+/// One delivery awaiting its grid bucket: receiver, liveness-filter
+/// class, and the handler.
+struct HandoffEntry {
+  std::uint32_t to = 0;
+  bool filtered = true;  ///< wire message (liveness-checked) vs local
+  DeliveryAction action;
+};
 
 class Network {
  public:
@@ -210,11 +216,6 @@ class Network {
   [[nodiscard]] LatencyModel& latency() noexcept { return latency_; }
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
 
-  /// True when the latency model carries a quantization grid.
-  [[nodiscard]] bool quantized() const noexcept { return grid_s_ > 0.0; }
-  /// The delivery grid in seconds (0 in continuous mode).
-  [[nodiscard]] SimTime grid_s() const noexcept { return grid_s_; }
-
   /// Count of messages dropped by the liveness filter (surfaced as
   /// SessionStats::deliveries_dropped — a filter regression is visible
   /// to the fingerprint oracle, not silently swallowed).
@@ -233,25 +234,6 @@ class Network {
   /// Deliveries dispatched through bucket batches.
   [[nodiscard]] std::uint64_t batched_deliveries() const noexcept {
     return batched_deliveries_;
-  }
-  /// True when hand-offs route through sharded-engine delivery lanes
-  /// (quantized mode on a sharded simulator).
-  [[nodiscard]] bool laned() const noexcept { return lanes_ != nullptr; }
-  /// Frontier barriers drained through the lanes (0 off the sharded
-  /// engine; equals delivery_batches() on it).
-  [[nodiscard]] std::uint64_t frontier_barriers() const noexcept {
-    return frontier_barriers_;
-  }
-  /// Cumulative lanes that held NO due hand-off at a barrier — the
-  /// shard_drain imbalance signal, deterministic at every thread count.
-  /// Under lax windows, sampled once per window instead of per instant
-  /// (the skew-stall signal: lanes the whole window could not feed).
-  [[nodiscard]] std::uint64_t frontier_stalled_lanes() const noexcept {
-    return frontier_stalled_lanes_;
-  }
-  /// Lax hand-off windows swept (0 in strict mode).
-  [[nodiscard]] std::uint64_t lax_handoff_windows() const noexcept {
-    return lax_handoff_windows_;
   }
 
  private:
@@ -300,11 +282,8 @@ class Network {
     }
   };
 
-  /// One delivery awaiting its grid bucket (hoisted to handoff.hpp so
-  /// the sharded engine's lanes can park the same records).
-  using ShardedEntry = HandoffEntry;
   struct Bucket {
-    std::vector<ShardedEntry> entries;
+    std::vector<HandoffEntry> entries;
   };
   /// Receiver group: indices into the bucket's entry list, in schedule
   /// order, for one receiver.
@@ -325,26 +304,13 @@ class Network {
   bool apply_faults(std::size_t from, std::size_t to, SimTime& delay);
 
   /// Appends a delivery to its grid bucket, creating the bucket (and
-  /// its proxy event) on first use. On the sharded engine this parks
-  /// the delivery in its hand-off lane instead, ranked by a sequence
-  /// from the simulator's global stream.
+  /// its proxy event) on first use.
   void enqueue_sharded(std::uint32_t to, SimTime when, DeliveryAction action,
                        bool filtered);
   /// Proxy-event body: detaches the bucket at `time` and dispatches it.
   void fire_bucket(SimTime time);
-  /// Frontier-hook body (sharded engine): drains every lane's hand-offs
-  /// at `time` — per-lane pops forked under the shard_drain phase, then
-  /// a serial merge by sequence — and dispatches the merged batch.
-  void fire_frontier(SimTime time);
-  /// Lax-window frontier-hook body: drains EVERY pending hand-off
-  /// instant <= limit in one sweep — per-lane pops forked once for the
-  /// whole window under the lax_drain phase, merged by (time, seq),
-  /// then each instant's batch dispatched in time order behind a
-  /// begin_instant(t) clock stamp. Returns instants dispatched.
-  std::size_t fire_frontier_window(
-      SimTime limit, const std::function<void(SimTime)>& begin_instant);
   /// Groups by receiver, forks across shards, settles the join.
-  void dispatch_bucket(std::vector<ShardedEntry>& entries);
+  void dispatch_bucket(std::vector<HandoffEntry>& entries);
 
   sim::Simulator& sim_;
   LatencyModel latency_;
@@ -378,7 +344,7 @@ class Network {
   /// makes the log-factor irrelevant.
   std::map<SimTime, Bucket> buckets_;
   /// Recycled entry vectors (buckets churn every grid step).
-  std::vector<std::vector<ShardedEntry>> spare_entry_vecs_;
+  std::vector<std::vector<HandoffEntry>> spare_entry_vecs_;
   /// Dispatch scratch, reused across buckets.
   std::vector<ReceiverGroup> groups_;
   std::size_t groups_used_ = 0;
@@ -386,17 +352,6 @@ class Network {
   std::vector<DeliveryShardScratch> shard_scratch_;
   std::uint64_t delivery_batches_ = 0;
   std::uint64_t batched_deliveries_ = 0;
-
-  // --- sharded-engine hand-off lanes (null on the single queue) ----------
-  std::unique_ptr<DeliveryLanes> lanes_;
-  /// Merged-batch scratch, reused across barriers.
-  std::vector<ShardedEntry> frontier_entries_;
-  /// Per-entry instants parallel to frontier_entries_ (lax windows
-  /// only — strict barriers are single-instant).
-  std::vector<SimTime> frontier_times_;
-  std::uint64_t frontier_barriers_ = 0;
-  std::uint64_t frontier_stalled_lanes_ = 0;
-  std::uint64_t lax_handoff_windows_ = 0;
 };
 
 /// Immediate-mode forward: defined here (not in delivery.hpp) because

@@ -15,8 +15,6 @@ enum class Phase : std::uint8_t {
   kPlan,              ///< round batch phase 2 (forked)
   kCommit,            ///< round batch phase 3 (serial)
   kDeliveryBucket,    ///< quantized-mode bucket dispatch (forked)
-  kShardDrain,        ///< sharded-engine lane pops at a barrier (forked)
-  kLaxDrain,          ///< lax-mode windowed shard/lane pops (forked)
   kSampleSweep,       ///< metrics sample tick sweep (forked)
   kChurnSweep,        ///< dead-supplier transfer sweep (forked)
   kOtherFork,         ///< fork/join with no phase bracket
@@ -32,8 +30,6 @@ inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCoun
     case Phase::kPlan: return "plan";
     case Phase::kCommit: return "commit";
     case Phase::kDeliveryBucket: return "delivery_bucket";
-    case Phase::kShardDrain: return "shard_drain";
-    case Phase::kLaxDrain: return "lax_drain";
     case Phase::kSampleSweep: return "sample_sweep";
     case Phase::kChurnSweep: return "churn_sweep";
     case Phase::kOtherFork: return "other_fork";

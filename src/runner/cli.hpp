@@ -24,6 +24,15 @@ namespace continu::runner::cli {
 /// values where 0 is legitimate, e.g. seeds.
 [[nodiscard]] std::optional<std::uint64_t> parse_uint(const char* text);
 
+/// parse_uint capped to the unsigned range (knobs where 0 is legal).
+[[nodiscard]] std::optional<unsigned> parse_uint_u32(const char* text);
+
+/// Strict finite, NON-NEGATIVE decimal ("45", "0.5", "2e1"). Returns
+/// std::nullopt for empty input, trailing garbage ("4s"), signs ("-3",
+/// "+1"), leading whitespace, hex, "inf"/"nan", and values that
+/// overflow or underflow a double. For durations, times and fractions.
+[[nodiscard]] std::optional<double> parse_nonneg_double(const char* text);
+
 /// Diagnostic for an unknown --scenario value: names the offender and
 /// lists every valid scenario (matrix and families), so the fix is in
 /// the error message.

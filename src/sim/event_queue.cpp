@@ -34,17 +34,11 @@ void EventQueue::release_slot(std::uint32_t index) noexcept {
 }
 
 EventId EventQueue::push(SimTime time, EventAction action) {
-  return push_with_seq(next_seq_, time, std::move(action));
-}
-
-EventId EventQueue::push_with_seq(std::uint64_t seq, SimTime time,
-                                  EventAction action) {
   if (!action) {
     throw std::invalid_argument("EventQueue: empty action");
   }
   const std::uint32_t index = acquire_slot();
-  if (seq >= next_seq_) next_seq_ = seq + 1;
-  const EventId id = (seq << kSlotBits) | index;
+  const EventId id = (next_seq_++ << kSlotBits) | index;
   Slot& s = slot(index);
   // Same publish-last ordering as emplace(): the slot id is set only
   // once the entry and action are in place, so a heap_ allocation
@@ -171,44 +165,6 @@ SimTime EventQueue::next_time() const {
     throw std::logic_error("EventQueue::next_time on empty queue");
   }
   return heap_.front().time;
-}
-
-bool EventQueue::peek(SimTime& time, EventId& id) const {
-  drop_dead_top();
-  if (heap_.empty()) return false;
-  time = heap_.front().time;
-  id = heap_.front().id;
-  return true;
-}
-
-void EventQueue::collect_window(SimTime limit, std::vector<WindowRef>& out) {
-  for (;;) {
-    if (heap_.empty()) return;
-    const HeapEntry top = heap_.front();
-    if (top.time > limit) return;
-    remove_top();
-    // Dead tops (cancelled before collection) are reaped here exactly
-    // like drop_dead_top(); live entries stay registered so a cancel
-    // during the window's execution still lands.
-    if (slot(top.id & kSlotMask).id != top.id) continue;
-    out.push_back(WindowRef{top.time, top.id});
-  }
-}
-
-bool EventQueue::execute_collected(const WindowRef& ref) {
-  const std::uint32_t index = static_cast<std::uint32_t>(ref.id & kSlotMask);
-  Slot& s = slot(index);
-  if (s.id != ref.id) return false;  // cancelled since collection
-  // De-register then execute in place — same contract as
-  // acquire_due + execute_and_release, minus the heap pop (collection
-  // already removed the entry).
-  s.id = kInvalidEvent;
-  --live_;
-  DueEvent due;
-  due.time = ref.time;
-  due.slot_index = index;
-  execute_and_release(due);
-  return true;
 }
 
 }  // namespace continu::sim

@@ -46,30 +46,15 @@ class EventQueue {
   /// action must be non-empty.
   EventId push(SimTime time, EventAction action);
 
-  /// push() with a caller-supplied sequence number instead of the
-  /// queue's own counter — the per-shard member queues of a
-  /// ShardedEventQueue share ONE global sequence stream so cross-shard
-  /// tie-breaks match the single-queue engine. Sequences must be
-  /// unique per queue; the internal counter is bumped past `seq` so
-  /// mixing with plain push()/emplace() stays collision-free.
-  EventId push_with_seq(std::uint64_t seq, SimTime time, EventAction action);
-
   /// Hot scheduling path: constructs the callable directly in its pool
   /// slot (zero moves, zero allocations for inline-sized captures).
   /// The slot line is prefetched while the heap insertion runs.
   template <typename F>
   EventId emplace(SimTime time, F&& f) {
-    return emplace_with_seq(next_seq_++, time, std::forward<F>(f));
-  }
-
-  /// emplace() with a caller-supplied sequence (see push_with_seq).
-  template <typename F>
-  EventId emplace_with_seq(std::uint64_t seq, SimTime time, F&& f) {
     const std::uint32_t index = free_head_ != kNoFree ? free_head_ : grow_pool();
     Slot& s = slot(index);  // blocks are stable; heap growth can't move it
     __builtin_prefetch(&s, 1);
-    if (seq >= next_seq_) next_seq_ = seq + 1;
-    const EventId id = (seq << kSlotBits) | index;
+    const EventId id = (next_seq_++ << kSlotBits) | index;
     heap_.push_back(HeapEntry{time, id});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     // Construct the action BEFORE publishing the slot: if the capture's
@@ -144,39 +129,6 @@ class EventQueue {
 
   /// Time of the earliest live event. Requires !empty().
   [[nodiscard]] SimTime next_time() const;
-
-  /// Head (time, id) of the earliest live event without removing it;
-  /// returns false when the queue is empty. Purges lazily-cancelled
-  /// tops, so the reported head is always live — this is how a
-  /// ShardedEventQueue keeps its meta-heap exact.
-  bool peek(SimTime& time, EventId& id) const;
-
-  /// Reference to an event collected by a lax window pop: removed from
-  /// the heap but still REGISTERED in its slot, so cancels issued
-  /// between collection and execution are honoured (the slot id stops
-  /// matching and execute_collected skips the ref).
-  struct WindowRef {
-    SimTime time = 0.0;
-    EventId id = kInvalidEvent;
-  };
-
-  /// Lax window collection: pops every live heap entry with time <=
-  /// limit into `out`, in (time, id) order, WITHOUT de-registering the
-  /// slots. Touches only this queue's heap plus slot-id reads, so the
-  /// per-shard member queues of a ShardedEventQueue can run this
-  /// concurrently — one worker per queue, no shared state.
-  void collect_window(SimTime limit, std::vector<WindowRef>& out);
-
-  /// True while a collected ref's event is still live (not cancelled
-  /// since collection).
-  [[nodiscard]] bool collected_live(const WindowRef& ref) const noexcept {
-    return slot(static_cast<std::uint32_t>(ref.id & kSlotMask)).id == ref.id;
-  }
-
-  /// Executes a collected ref in place iff still live: de-registers,
-  /// consumes the action, releases the slot. Returns whether it ran
-  /// (false = cancelled between collection and execution).
-  bool execute_collected(const WindowRef& ref);
 
  private:
   /// 16 bytes; the heap orders by (time, id) and id order among live

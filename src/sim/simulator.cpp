@@ -1,11 +1,8 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
-
-#include "sim/parallel/executor.hpp"
 
 namespace continu::sim {
 
@@ -14,7 +11,6 @@ EventId Simulator::schedule_in(SimTime delay, EventAction action) {
     throw std::invalid_argument("Simulator: empty action");
   }
   if (delay < 0.0) delay = 0.0;
-  if (squeue_) return squeue_->push(now_ + delay, std::move(action));
   return queue_.push(now_ + delay, std::move(action));
 }
 
@@ -23,7 +19,6 @@ EventId Simulator::schedule_at(SimTime when, EventAction action) {
     throw std::invalid_argument("Simulator: empty action");
   }
   if (when < now_) when = now_;
-  if (squeue_) return squeue_->push(when, std::move(action));
   return queue_.push(when, std::move(action));
 }
 
@@ -31,193 +26,36 @@ void Simulator::schedule_deferred(std::vector<EventQueue::Deferred>& batch) {
   for (EventQueue::Deferred& deferred : batch) {
     if (deferred.time < now_) deferred.time = now_;
   }
-  if (squeue_) {
-    squeue_->push_all(batch);
-  } else {
-    queue_.push_all(batch);
-  }
+  queue_.push_all(batch);
 }
 
-void Simulator::set_lax_drain(LaxConfig lax) {
-  if (!squeue_) {
-    throw std::logic_error("Simulator::set_lax_drain: single-queue engine");
-  }
-  if (lax.skew_buckets == 0 || lax.grid_s <= 0.0) {
-    throw std::logic_error(
-        "Simulator::set_lax_drain: needs skew_buckets >= 1 and a positive grid");
-  }
-  squeue_->configure_lax(lax.skew_buckets);
-  lax_ = std::move(lax);
+bool Simulator::execute_next(SimTime horizon) {
+  EventQueue::DueEvent due;
+  if (!queue_.acquire_due(horizon, due)) return false;
+  now_ = due.time;
+  ++executed_;
+  queue_.execute_and_release(due);
+  return true;
 }
 
-std::size_t Simulator::drain_lax(SimTime horizon) {
+std::size_t Simulator::drain(SimTime horizon) {
   std::size_t ran = 0;
-  const unsigned nshards = squeue_->shard_count();
-  const SimTime window_s = static_cast<SimTime>(lax_.skew_buckets) * lax_.grid_s;
-  for (;;) {
-    SimTime qt = 0.0;
-    std::uint64_t qseq = 0;
-    SimTime dt = 0.0;
-    std::uint64_t dseq = 0;
-    const bool have_event = squeue_->peek(qt, qseq);
-    const bool have_barrier = frontier_.next_key && frontier_.next_key(dt, dseq);
-    if (!have_event && !have_barrier) break;
-    // The window anchors at the earliest pending (time, seq) across
-    // both sources — the strict frontier's instant — and extends one
-    // skew window past it. Anchoring at the global minimum is what
-    // bounds the clock skew: nothing in the window runs more than
-    // `window_s` ahead of something still pending somewhere.
-    SimTime anchor = have_event ? qt : dt;
-    if (have_barrier && dt < anchor) anchor = dt;
-    if (anchor > horizon) break;
-    const SimTime limit = std::min(anchor + window_s, horizon);
-    // Phase A — forked window collection: every shard pops its events
-    // due within the window into its private scratch. Queue-local heap
-    // pops only; meta/live settlement is serial in finish_window.
-    if (lax_.on_fork) lax_.on_fork(nshards);
-    const auto body = [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
-        squeue_->collect_window(static_cast<std::uint32_t>(s), limit);
-      }
-    };
-    if (lax_.exec != nullptr) {
-      lax_.exec->for_shards(nshards, /*grain=*/1, body);
-    } else {
-      for (unsigned s = 0; s < nshards; ++s) {
-        squeue_->collect_window(s, limit);
-      }
-    }
-    squeue_->finish_window(anchor, lax_.grid_s);
-    // Phase B — serial execution in shard-index order, each event at
-    // its own local clock (this is the skew: the clock is non-monotonic
-    // within the window, bounded by window_s). Emissions landing inside
-    // the window were not collected — they fence to the next window —
-    // and cancels of collected refs are honoured at execution.
-    ran += squeue_->execute_window([this](SimTime t) {
-      now_ = t;
-      ++executed_;
-    });
-    // Windowed barrier sweep: every hand-off instant <= limit drains in
-    // one pass (per-lane pops forked once for the whole window), each
-    // instant's batch dispatched at its own clock in time order.
-    if (frontier_.dispatch_window) {
-      ran += frontier_.dispatch_window(limit, [this](SimTime t) {
-        now_ = t;
-        ++executed_;
-      });
-    } else if (frontier_.next_key) {
-      while (frontier_.next_key(dt, dseq) && dt <= limit) {
-        now_ = dt;
-        ++executed_;
-        ++ran;
-        frontier_.dispatch(dt);
-      }
-    }
-  }
-  return ran;
-}
-
-std::size_t Simulator::drain_sharded(SimTime horizon) {
-  std::size_t ran = 0;
-  for (;;) {
-    SimTime qt = 0.0;
-    std::uint64_t qseq = 0;
-    SimTime dt = 0.0;
-    std::uint64_t dseq = 0;
-    const bool have_event = squeue_->peek(qt, qseq);
-    const bool have_barrier = frontier_.next_key && frontier_.next_key(dt, dseq);
-    if (!have_event && !have_barrier) break;
-    // Global (time, seq) order across both sources. A barrier's key is
-    // the sequence of its FIRST pending hand-off — the same rank the
-    // single-queue engine's bucket proxy holds, because both are
-    // assigned at the first enqueue targeting that instant.
-    const bool barrier_first =
-        have_barrier &&
-        (!have_event || dt < qt || (dt == qt && dseq < qseq));
-    if (barrier_first) {
-      if (dt > horizon) break;
-      now_ = dt;
-      ++executed_;
-      ++ran;
-      frontier_.dispatch(dt);
-    } else {
-      if (qt > horizon) break;
-      ShardedEventQueue::DueEvent due;
-      if (!squeue_->acquire_due(horizon, due)) break;
-      now_ = due.time;
-      ++executed_;
-      ++ran;
-      squeue_->execute_and_release(due);
-    }
-  }
+  while (execute_next(horizon)) ++ran;
   return ran;
 }
 
 std::size_t Simulator::run_until(SimTime horizon) {
-  std::size_t ran = 0;
-  if (squeue_) {
-    ran = lax() ? drain_lax(horizon) : drain_sharded(horizon);
-  } else {
-    EventQueue::DueEvent due;
-    while (queue_.acquire_due(horizon, due)) {
-      now_ = due.time;
-      ++executed_;
-      ++ran;
-      queue_.execute_and_release(due);
-    }
-  }
+  const std::size_t ran = drain(horizon);
   if (now_ < horizon) now_ = horizon;
   return ran;
 }
 
 std::size_t Simulator::run_all() {
-  if (squeue_) {
-    const SimTime inf = std::numeric_limits<SimTime>::infinity();
-    return lax() ? drain_lax(inf) : drain_sharded(inf);
-  }
-  std::size_t ran = 0;
-  EventQueue::DueEvent due;
-  while (queue_.acquire_due(std::numeric_limits<SimTime>::infinity(), due)) {
-    now_ = due.time;
-    ++executed_;
-    ++ran;
-    queue_.execute_and_release(due);
-  }
-  return ran;
+  return drain(std::numeric_limits<SimTime>::infinity());
 }
 
 bool Simulator::step() {
-  if (squeue_) {
-    // One iteration of the sharded drain: the barrier-vs-event pick
-    // mirrors drain_sharded so single-stepping preserves global order.
-    SimTime qt = 0.0;
-    std::uint64_t qseq = 0;
-    SimTime dt = 0.0;
-    std::uint64_t dseq = 0;
-    const bool have_event = squeue_->peek(qt, qseq);
-    const bool have_barrier = frontier_.next_key && frontier_.next_key(dt, dseq);
-    if (!have_event && !have_barrier) return false;
-    if (have_barrier && (!have_event || dt < qt || (dt == qt && dseq < qseq))) {
-      now_ = dt;
-      ++executed_;
-      frontier_.dispatch(dt);
-      return true;
-    }
-    ShardedEventQueue::DueEvent due;
-    if (!squeue_->acquire_due(std::numeric_limits<SimTime>::infinity(), due)) {
-      return false;
-    }
-    now_ = due.time;
-    ++executed_;
-    squeue_->execute_and_release(due);
-    return true;
-  }
-  if (queue_.empty()) return false;
-  Event e = queue_.pop();
-  now_ = e.time;
-  ++executed_;
-  e.action();
-  return true;
+  return execute_next(std::numeric_limits<SimTime>::infinity());
 }
 
 PeriodicProcess::PeriodicProcess(Simulator& sim, SimTime period, EventAction tick)

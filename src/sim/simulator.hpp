@@ -9,131 +9,26 @@
 // Scheduling is allocation-free for ordinary captures: actions are
 // EventActions (small-buffer optimized) stored directly in the queue's
 // slot pool, and cancel() is an O(1) slot write.
-//
-// Two queue engines, chosen at construction:
-//
-//   single (default) — one EventQueue, the oracle every other engine
-//   is measured against.
-//
-//   sharded (queue_shards > 0) — a ShardedEventQueue of per-shard
-//   heaps under a meta-heap frontier, plus an optional frontier hook
-//   through which the network's quantized delivery lanes interleave
-//   barrier dispatches with ordinary events in global (time, seq)
-//   order. Execution order — and therefore every fingerprint — is
-//   byte-identical to the single engine by construction.
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 
 #include "sim/event_queue.hpp"
-#include "sim/sharded_queue.hpp"
 #include "util/types.hpp"
 
 namespace continu::sim {
 
-namespace parallel {
-class ParallelExecutor;
-}
-
 class Simulator {
  public:
   Simulator() = default;
-  /// queue_shards > 0 selects the sharded engine with that many
-  /// per-shard heaps (rounded up to a power of two); 0 is the single
-  /// queue.
-  explicit Simulator(unsigned queue_shards) {
-    if (queue_shards > 0) {
-      squeue_ = std::make_unique<ShardedEventQueue>(queue_shards);
-    }
-  }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current virtual time in seconds.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-
-  /// True when running on the sharded queue engine.
-  [[nodiscard]] bool sharded() const noexcept { return squeue_ != nullptr; }
-
-  /// Shard count of the sharded engine (0 on the single queue).
-  [[nodiscard]] unsigned queue_shards() const noexcept {
-    return squeue_ ? squeue_->shard_count() : 0;
-  }
-
-  /// The sharded queue itself, for frontier diagnostics (null on the
-  /// single engine).
-  [[nodiscard]] const ShardedEventQueue* sharded_queue() const noexcept {
-    return squeue_.get();
-  }
-
-  /// Draws a sequence number from the sharded engine's global stream
-  /// (delivery lanes rank their hand-offs with these). Requires
-  /// sharded().
-  [[nodiscard]] std::uint64_t allocate_seq() {
-    if (!squeue_) {
-      throw std::logic_error("Simulator::allocate_seq: single-queue engine");
-    }
-    return squeue_->allocate_seq();
-  }
-
-  /// External event source draining at frontier barriers (the
-  /// network's quantized delivery lanes). next_key reports the
-  /// earliest pending (time, seq) hand-off; dispatch drains EVERY
-  /// hand-off at that instant. The run loop interleaves dispatches
-  /// with ordinary events in global (time, seq) order, which is
-  /// exactly where the single-queue engine's bucket proxy event would
-  /// have fired.
-  struct FrontierHook {
-    std::function<bool(SimTime& time, std::uint64_t& seq)> next_key;
-    std::function<void(SimTime time)> dispatch;
-    /// Lax mode only: drains EVERY pending hand-off instant <= limit in
-    /// one windowed sweep (per-lane pops forked once for the whole
-    /// window instead of once per barrier). The hook calls
-    /// begin_instant(t) before dispatching each instant's batch so the
-    /// simulator can stamp its clock and executed count; returns the
-    /// number of instants dispatched. Unset = the lax drain falls back
-    /// to per-instant dispatch().
-    std::function<std::size_t(SimTime limit,
-                              const std::function<void(SimTime)>& begin_instant)>
-        dispatch_window;
-  };
-
-  /// Installs the frontier hook (sharded engine only; the single
-  /// engine schedules proxy events instead and never calls this).
-  void set_frontier_hook(FrontierHook hook) {
-    if (!squeue_) {
-      throw std::logic_error("Simulator::set_frontier_hook: single-queue engine");
-    }
-    frontier_ = std::move(hook);
-  }
-
-  /// Lax-drain configuration (sharded engine + positive grid only).
-  /// The run loop drains bounded-skew windows of width
-  /// `skew_buckets * grid_s` instead of walking the strict frontier:
-  /// per-shard pops fork on `exec` (inline with the identical shard
-  /// decomposition when null), execution is serial in shard-index
-  /// order at per-event local clocks. `on_fork(shards)` fires before
-  /// each collection fork (the session brackets it as
-  /// obs::Phase::kLaxDrain).
-  struct LaxConfig {
-    unsigned skew_buckets = 0;
-    SimTime grid_s = 0.0;
-    parallel::ParallelExecutor* exec = nullptr;
-    std::function<void(std::size_t shards)> on_fork;
-  };
-
-  /// Switches the sharded engine's run loop to lax windows. Requires
-  /// sharded(), skew_buckets >= 1 and grid_s > 0 — callers gate on the
-  /// config, so a violation is a logic error, not a silent fallback.
-  void set_lax_drain(LaxConfig lax);
-
-  /// True when the run loop drains lax windows instead of the strict
-  /// frontier.
-  [[nodiscard]] bool lax() const noexcept { return lax_.skew_buckets > 0; }
 
   /// Schedules `action` to run at now() + delay (delay clamped to >= 0).
   /// Returns a handle usable with cancel(). Accepts any callable;
@@ -144,7 +39,6 @@ class Simulator {
   EventId schedule_in(SimTime delay, F&& f) {
     validate_callable(f);
     if (delay < 0.0) delay = 0.0;
-    if (squeue_) return squeue_->emplace(now_ + delay, std::forward<F>(f));
     return queue_.emplace(now_ + delay, std::forward<F>(f));
   }
 
@@ -154,7 +48,6 @@ class Simulator {
   EventId schedule_at(SimTime when, F&& f) {
     validate_callable(f);
     if (when < now_) when = now_;
-    if (squeue_) return squeue_->emplace(when, std::forward<F>(f));
     return queue_.emplace(when, std::forward<F>(f));
   }
 
@@ -170,9 +63,7 @@ class Simulator {
   void schedule_deferred(std::vector<EventQueue::Deferred>& batch);
 
   /// Cancels a pending event; returns true iff it was still pending.
-  bool cancel(EventId id) noexcept {
-    return squeue_ ? squeue_->cancel(id) : queue_.cancel(id);
-  }
+  bool cancel(EventId id) noexcept { return queue_.cancel(id); }
 
   /// Runs events until the queue drains or the clock passes `horizon`.
   /// Events at exactly `horizon` still run. Returns events executed.
@@ -185,13 +76,11 @@ class Simulator {
   bool step();
 
   /// Live events still pending.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return squeue_ ? squeue_->size() : queue_.size();
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
   /// High-water mark of pending events since construction.
   [[nodiscard]] std::size_t peak_pending() const noexcept {
-    return squeue_ ? squeue_->peak_size() : queue_.peak_size();
+    return queue_.peak_size();
   }
 
   /// Total events executed since construction.
@@ -207,20 +96,16 @@ class Simulator {
     }
   }
 
-  /// Sharded-engine drain: interleaves ordinary events and frontier
-  /// dispatches in global (time, seq) order up to `horizon`.
-  std::size_t drain_sharded(SimTime horizon);
+  /// Executes the earliest pending event iff its time <= horizon:
+  /// stamps the clock, counts it, runs it in place. The only way an
+  /// event executes; returns whether one ran.
+  bool execute_next(SimTime horizon);
 
-  /// Lax drain: repeats { anchor at the earliest pending (time, seq),
-  /// fork per-shard pops of everything due within the skew window,
-  /// execute serially in shard order, sweep hand-off barriers through
-  /// the window } until past `horizon`.
-  std::size_t drain_lax(SimTime horizon);
+  /// The one run loop: execute_next until nothing is due by `horizon`.
+  /// Returns events executed.
+  std::size_t drain(SimTime horizon);
 
   EventQueue queue_;
-  std::unique_ptr<ShardedEventQueue> squeue_;
-  FrontierHook frontier_;
-  LaxConfig lax_;
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
 };

@@ -380,15 +380,19 @@ TEST(Network, QuantizedCoInstantDeliveriesFormOneBatch) {
 
 TEST(Network, QuantizedSamePairKeepsFifoWithinBucket) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0}, 5.0, 5.0));
+  Network net(sim, LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
   std::vector<int> order;
   net.send_sharded(0, 1, MessageType::kPing, 80,
                    [&order](DeliveryContext&) { order.push_back(1); });
+  // A second sender interleaved into the same bucket: the receiver
+  // still sees its deliveries in schedule order, across senders.
+  net.send_sharded(2, 1, MessageType::kPing, 80,
+                   [&order](DeliveryContext&) { order.push_back(3); });
   net.send_sharded(0, 1, MessageType::kPing, 80,
                    [&order](DeliveryContext&) { order.push_back(2); });
   sim.run_all();
   EXPECT_EQ(net.delivery_batches(), 1u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
 }
 
 TEST(Network, QuantizedFilterDropsAreCounted) {

@@ -1,8 +1,8 @@
 // Tests for the deterministic intra-session parallel executor: per-tick
 // RNG stream derivation, fork/join shard coverage, ordered reductions,
 // the deferred-emission API, RoundScheduler batch dispatch, session
-// threads-invariance, runner core arbitration, CLI validation and the
-// parameterized scenario families.
+// threads-invariance, runner core arbitration and the parameterized
+// scenario families.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "net/latency_model.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
-#include "runner/cli.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/scenario.hpp"
 #include "sim/parallel/deferred.hpp"
@@ -656,51 +655,6 @@ TEST(RunnerThreads, ThreadsOverrideDoesNotChangeResults) {
               runner::result_fingerprint(results_parallel[i]))
         << "replication " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// CLI validation
-// ---------------------------------------------------------------------------
-
-TEST(CliValidation, ParsePositiveRejectsNonPositive) {
-  using runner::cli::parse_positive;
-  EXPECT_EQ(parse_positive("1").value(), 1u);
-  EXPECT_EQ(parse_positive("8").value(), 8u);
-  EXPECT_EQ(parse_positive("123456789").value(), 123456789u);
-  EXPECT_FALSE(parse_positive("0").has_value());
-  EXPECT_FALSE(parse_positive("-1").has_value());
-  EXPECT_FALSE(parse_positive("+2").has_value());
-  EXPECT_FALSE(parse_positive("4x").has_value());
-  EXPECT_FALSE(parse_positive("x4").has_value());
-  EXPECT_FALSE(parse_positive("").has_value());
-  EXPECT_FALSE(parse_positive(" 3").has_value());
-  EXPECT_FALSE(parse_positive("3.5").has_value());
-  EXPECT_FALSE(parse_positive("99999999999999999999999").has_value());
-  EXPECT_FALSE(parse_positive(nullptr).has_value());
-}
-
-TEST(CliValidation, ParseUintAllowsZeroButNotGarbage) {
-  using runner::cli::parse_uint;
-  EXPECT_EQ(parse_uint("0").value(), 0u);  // seeds may be zero
-  EXPECT_EQ(parse_uint("42").value(), 42u);
-  EXPECT_FALSE(parse_uint("x42").has_value());
-  EXPECT_FALSE(parse_uint("42x").has_value());
-  EXPECT_FALSE(parse_uint("-1").has_value());
-  EXPECT_FALSE(parse_uint("").has_value());
-}
-
-TEST(CliValidation, UnknownScenarioMessageListsValidNames) {
-  const std::string message = runner::cli::unknown_scenario_message("bogus");
-  EXPECT_NE(message.find("bogus"), std::string::npos);
-  // Every matrix scenario and at least one family member is listed.
-  for (const auto& name : runner::scenario_names()) {
-    EXPECT_NE(message.find(name), std::string::npos) << name;
-  }
-  EXPECT_NE(message.find("fig7_static_1000"), std::string::npos);
-  // Fault-family members are listed too — an f*_ typo must still show
-  // the full catalogue.
-  EXPECT_NE(message.find("f5_static_1k"), std::string::npos);
-  EXPECT_NE(message.find("fp_static_small"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 // ExperimentRunner tests: jobs-invariant determinism, aggregation math,
-// derived seeding, and a smoke pass over the shared scenario matrix.
+// derived seeding, a smoke pass over the shared scenario matrix, and
+// the tools' command-line validation rules.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
+#include "runner/cli.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/scenario.hpp"
 
@@ -312,6 +315,88 @@ TEST(ScenarioMatrix, SmokeRunsThroughRunner) {
   // "no_prefetch" really disables pre-fetch.
   EXPECT_EQ(experiment.runs[1].stats.prefetch_launched, 0u);
   EXPECT_GT(experiment.total.segments_delivered, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// CLI validation
+// ---------------------------------------------------------------------------
+
+TEST(CliValidation, ParsePositiveRejectsNonPositive) {
+  using runner::cli::parse_positive;
+  EXPECT_EQ(parse_positive("1").value(), 1u);
+  EXPECT_EQ(parse_positive("8").value(), 8u);
+  EXPECT_EQ(parse_positive("123456789").value(), 123456789u);
+  EXPECT_FALSE(parse_positive("0").has_value());
+  EXPECT_FALSE(parse_positive("-1").has_value());
+  EXPECT_FALSE(parse_positive("+2").has_value());
+  EXPECT_FALSE(parse_positive("4x").has_value());
+  EXPECT_FALSE(parse_positive("x4").has_value());
+  EXPECT_FALSE(parse_positive("").has_value());
+  EXPECT_FALSE(parse_positive(" 3").has_value());
+  EXPECT_FALSE(parse_positive("3.5").has_value());
+  EXPECT_FALSE(parse_positive("99999999999999999999999").has_value());
+  EXPECT_FALSE(parse_positive(nullptr).has_value());
+}
+
+TEST(CliValidation, ParseUintAllowsZeroButNotGarbage) {
+  using runner::cli::parse_uint;
+  EXPECT_EQ(parse_uint("0").value(), 0u);  // seeds may be zero
+  EXPECT_EQ(parse_uint("42").value(), 42u);
+  EXPECT_FALSE(parse_uint("x42").has_value());
+  EXPECT_FALSE(parse_uint("42x").has_value());
+  EXPECT_FALSE(parse_uint("-1").has_value());
+  EXPECT_FALSE(parse_uint("").has_value());
+}
+
+TEST(CliValidation, ParseUintU32CapsAtUnsignedRange) {
+  using runner::cli::parse_uint_u32;
+  EXPECT_EQ(parse_uint_u32("0").value(), 0u);
+  EXPECT_EQ(parse_uint_u32("4294967295").value(), 4294967295u);
+  EXPECT_FALSE(parse_uint_u32("4294967296").has_value());
+  EXPECT_FALSE(parse_uint_u32("-1").has_value());
+  EXPECT_FALSE(parse_uint_u32("abc").has_value());
+}
+
+TEST(CliValidation, ParseNonnegDoubleAcceptsOnlyFiniteNonNegative) {
+  using runner::cli::parse_nonneg_double;
+  EXPECT_EQ(parse_nonneg_double("45").value(), 45.0);
+  EXPECT_EQ(parse_nonneg_double("0").value(), 0.0);
+  EXPECT_EQ(parse_nonneg_double("0.05").value(), 0.05);
+  EXPECT_EQ(parse_nonneg_double(".5").value(), 0.5);
+  EXPECT_EQ(parse_nonneg_double("2e1").value(), 20.0);
+  EXPECT_EQ(parse_nonneg_double("1.5E-1").value(), 0.15);
+  // Garbage ("--duration abc") and signs ("--churn -3") are rejected,
+  // as are units, whitespace, hex, non-finite and overflowing values.
+  EXPECT_FALSE(parse_nonneg_double("abc").has_value());
+  EXPECT_FALSE(parse_nonneg_double("-3").has_value());
+  EXPECT_FALSE(parse_nonneg_double("-0").has_value());
+  EXPECT_FALSE(parse_nonneg_double("+1").has_value());
+  EXPECT_FALSE(parse_nonneg_double("45s").has_value());
+  EXPECT_FALSE(parse_nonneg_double("4 5").has_value());
+  EXPECT_FALSE(parse_nonneg_double(" 45").has_value());
+  EXPECT_FALSE(parse_nonneg_double("").has_value());
+  EXPECT_FALSE(parse_nonneg_double(".").has_value());
+  EXPECT_FALSE(parse_nonneg_double("1e").has_value());
+  EXPECT_FALSE(parse_nonneg_double("1-2").has_value());
+  EXPECT_FALSE(parse_nonneg_double("0x10").has_value());
+  EXPECT_FALSE(parse_nonneg_double("inf").has_value());
+  EXPECT_FALSE(parse_nonneg_double("nan").has_value());
+  EXPECT_FALSE(parse_nonneg_double("1e999").has_value());
+  EXPECT_FALSE(parse_nonneg_double(nullptr).has_value());
+}
+
+TEST(CliValidation, UnknownScenarioMessageListsValidNames) {
+  const std::string message = runner::cli::unknown_scenario_message("bogus");
+  EXPECT_NE(message.find("bogus"), std::string::npos);
+  // Every matrix scenario and at least one family member is listed.
+  for (const auto& name : runner::scenario_names()) {
+    EXPECT_NE(message.find(name), std::string::npos) << name;
+  }
+  EXPECT_NE(message.find("fig7_static_1000"), std::string::npos);
+  // Fault-family members are listed too — an f*_ typo must still show
+  // the full catalogue.
+  EXPECT_NE(message.find("f5_static_1k"), std::string::npos);
+  EXPECT_NE(message.find("fp_static_small"), std::string::npos);
 }
 
 }  // namespace

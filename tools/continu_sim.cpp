@@ -20,6 +20,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,8 +59,6 @@ struct CliOptions {
   bool vary_trace_seed = false;
   unsigned jobs = 0;     // 0 = hardware concurrency (flag demands >= 1)
   unsigned threads = 1;  // intra-session fork/join width
-  bool sharded_queue = false;  // sharded event-queue engine (bit-identical)
-  unsigned queue_skew = 0;     // lax-mode skew window in grid buckets
   std::size_t replications = 1;
   bool list_scenarios = false;
   bool quiet = false;
@@ -75,14 +74,16 @@ struct CliOptions {
 void print_usage(const char* argv0) {
   std::printf(
       "usage: %s [options]\n"
-      "  --nodes N          overlay size for the synthetic trace (default 1000)\n"
+      "  --nodes N          overlay size for the synthetic trace, N >= 2\n"
+      "                     (default 1000)\n"
       "  --trace FILE       load a trace snapshot instead of generating one\n"
       "  --scenario NAME    use a named scenario from the shared matrix\n"
       "  --list-scenarios   print the scenario matrix and exit\n"
       "  --duration SEC     virtual seconds to simulate (default 45)\n"
       "  --stable-from SEC  start of the stable measurement window (default 20)\n"
       "  --system NAME      continu | cool | gridmedia (default continu)\n"
-      "  --churn F          per-round leave AND join fraction (default 0 = static)\n"
+      "  --churn F          per-round leave AND join fraction in [0, 1]\n"
+      "                     (default 0 = static)\n"
       "  --neighbors M      connected-neighbor target (default 5)\n"
       "  --replicas K       DHT backups per segment (default 4)\n"
       "  --prefetch-limit L max pre-fetches per invocation (default 5)\n"
@@ -99,15 +100,6 @@ void print_usage(const char* argv0) {
       "                     results are identical for every value). With\n"
       "                     replications the runner clamps jobs so\n"
       "                     jobs x threads fits the machine\n"
-      "  --sharded-queue    run on the sharded event-queue engine (per-shard\n"
-      "                     heaps + meta-heap frontier; results are bit-identical\n"
-      "                     to the default single-queue engine)\n"
-      "  --queue-skew K     lax mode: shards drain up to K latency-grid buckets\n"
-      "                     ahead of the global frontier, concurrently. Needs\n"
-      "                     --sharded-queue and a quantized (q*_) scenario; 0 is\n"
-      "                     strict mode. Deterministic and thread-invariant per\n"
-      "                     K, but each K >= 1 is a different universe from\n"
-      "                     strict (see docs/DETERMINISM.md contract 7)\n"
       "  --csv FILE         dump per-round series as CSV\n"
       "  --csv-mode MODE    what --csv writes for multi-replication runs:\n"
       "                       first   series of replication 0 only (default)\n"
@@ -144,13 +136,32 @@ void print_usage(const char* argv0) {
       }
       return argv[++i];
     };
+    // Every numeric flag goes through a runner::cli parser; a value it
+    // rejects names the flag and fails the run instead of silently
+    // becoming 0.
+    auto numeric = [&](auto parse_value, const char* expects, auto& out) {
+      const char* v = next();
+      if (!v) return false;
+      const auto parsed = parse_value(v);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "%s expects %s, got '%s'\n", arg.c_str(), expects, v);
+        return false;
+      }
+      out = static_cast<std::decay_t<decltype(out)>>(*parsed);
+      return true;
+    };
+    namespace cli = continu::runner::cli;
     if (arg == "--help" || arg == "-h") {
       print_usage(argv[0]);
       return std::nullopt;
     } else if (arg == "--nodes") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.nodes = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!numeric(cli::parse_positive, "an integer >= 2", opt.nodes)) {
+        return std::nullopt;
+      }
+      if (opt.nodes < 2) {
+        std::fprintf(stderr, "--nodes expects an integer >= 2, got '%s'\n", argv[i]);
+        return std::nullopt;
+      }
     } else if (arg == "--trace") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -162,81 +173,60 @@ void print_usage(const char* argv0) {
     } else if (arg == "--list-scenarios") {
       opt.list_scenarios = true;
     } else if (arg == "--duration") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.duration = std::strtod(v, nullptr);
+      if (!numeric(cli::parse_nonneg_double, "seconds >= 0", opt.duration)) {
+        return std::nullopt;
+      }
     } else if (arg == "--stable-from") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.stable_from = std::strtod(v, nullptr);
+      if (!numeric(cli::parse_nonneg_double, "seconds >= 0", opt.stable_from)) {
+        return std::nullopt;
+      }
     } else if (arg == "--system") {
       const char* v = next();
       if (!v) return std::nullopt;
       opt.system = v;
     } else if (arg == "--churn") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.churn = std::strtod(v, nullptr);
+      if (!numeric(cli::parse_nonneg_double, "a fraction in [0, 1]", opt.churn)) {
+        return std::nullopt;
+      }
+      if (opt.churn > 1.0) {
+        std::fprintf(stderr, "--churn expects a fraction in [0, 1], got '%s'\n",
+                     argv[i]);
+        return std::nullopt;
+      }
     } else if (arg == "--neighbors") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.neighbors = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!numeric(cli::parse_positive, "a positive integer", opt.neighbors)) {
+        return std::nullopt;
+      }
     } else if (arg == "--replicas") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.replicas = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!numeric(cli::parse_uint_u32, "an integer >= 0", opt.replicas)) {
+        return std::nullopt;
+      }
     } else if (arg == "--prefetch-limit") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.prefetch_limit = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!numeric(cli::parse_uint_u32, "an integer >= 0", opt.prefetch_limit)) {
+        return std::nullopt;
+      }
     } else if (arg == "--homogeneous") {
       opt.homogeneous = true;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      if (!numeric(cli::parse_uint, "a non-negative integer", opt.seed)) {
+        return std::nullopt;
+      }
     } else if (arg == "--trace-seed") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.trace_seed = std::strtoull(v, nullptr, 10);
+      if (!numeric(cli::parse_uint, "a non-negative integer", opt.trace_seed)) {
+        return std::nullopt;
+      }
     } else if (arg == "--replications") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      const auto parsed = continu::runner::cli::parse_positive(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--replications expects a positive integer, got '%s'\n", v);
+      if (!numeric(cli::parse_positive, "a positive integer", opt.replications)) {
         return std::nullopt;
       }
-      opt.replications = static_cast<std::size_t>(*parsed);
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      const auto parsed = continu::runner::cli::parse_positive_u32(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--jobs expects a positive integer, got '%s'\n", v);
+      if (!numeric(cli::parse_positive_u32, "a positive integer", opt.jobs)) {
         return std::nullopt;
       }
-      opt.jobs = *parsed;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      const auto parsed = continu::runner::cli::parse_positive_u32(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--threads expects a positive integer, got '%s'\n", v);
+      if (!numeric(cli::parse_positive_u32, "a positive integer", opt.threads)) {
         return std::nullopt;
       }
-      opt.threads = *parsed;
-    } else if (arg == "--sharded-queue") {
-      opt.sharded_queue = true;
-    } else if (arg == "--queue-skew") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      const auto parsed = continu::runner::cli::parse_uint(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "--queue-skew expects an integer >= 0, got '%s'\n", v);
-        return std::nullopt;
-      }
-      opt.queue_skew = static_cast<unsigned>(*parsed);
     } else if (arg == "--csv") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -261,11 +251,7 @@ void print_usage(const char* argv0) {
       if (!v) return std::nullopt;
       opt.trace_out = v;
     } else if (arg == "--trace-node") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      opt.trace_node = std::strtoll(v, nullptr, 10);
-      if (opt.trace_node < 0) {
-        std::fprintf(stderr, "--trace-node expects a node index >= 0, got '%s'\n", v);
+      if (!numeric(cli::parse_uint_u32, "a node index >= 0", opt.trace_node)) {
         return std::nullopt;
       }
     } else if (arg == "--stats-json") {
@@ -381,13 +367,6 @@ int main(int argc, char** argv) {
   // When scenario-driven, the scenario fixes workload shape AND horizons;
   // the CLI's --seed still picks the replication seed stream.
   runner::ReplicationSpec spec = base_spec(opt);
-  // Engine selection is orthogonal to the workload: --sharded-queue is
-  // legal with --scenario because it cannot change any result.
-  // --queue-skew >= 1 is different: lax mode DOES change results (a
-  // deterministic, thread-invariant universe per skew setting), which
-  // is why it is opt-in and gated by its own drift budget in CI.
-  spec.config.sharded_queue = opt.sharded_queue;
-  spec.config.queue_skew_buckets = opt.queue_skew;
   if (opt.vary_trace_seed) {
     if (opt.replications <= 1) {
       std::fprintf(stderr, "--vary-trace-seed needs --replications > 1\n");
