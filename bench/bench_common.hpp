@@ -21,6 +21,7 @@
 #include "core/config.hpp"
 #include "core/session.hpp"
 #include "net/message.hpp"
+#include "runner/cli.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/scenario.hpp"
 #include "trace/generator.hpp"
@@ -52,13 +53,11 @@ struct Horizon {
   double stable_from = 20.0;
 };
 
-/// Paper-standard system configuration for a run over `nodes` hosts.
-[[nodiscard]] inline core::SystemConfig standard_config(std::size_t nodes,
-                                                        std::uint64_t seed,
-                                                        bool churn) {
+/// Paper-standard system configuration (the urgent line's population
+/// and hop-latency estimates come from the trace, not from here).
+[[nodiscard]] inline core::SystemConfig standard_config(std::uint64_t seed, bool churn) {
   core::SystemConfig config;
   config.seed = seed;
-  config.expected_nodes = static_cast<double>(nodes);
   config.churn_enabled = churn;
   return config;
 }
@@ -91,11 +90,20 @@ struct Horizon {
 }
 
 /// Bench job count: CONTINU_BENCH_JOBS env var, else 0 (= all cores).
+/// A value that is not a plain non-negative integer exits 1 with a
+/// diagnostic instead of silently meaning "all cores" or "UINT_MAX".
 [[nodiscard]] inline unsigned bench_jobs() {
-  if (const char* env = std::getenv("CONTINU_BENCH_JOBS")) {
-    return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+  const char* env = std::getenv("CONTINU_BENCH_JOBS");
+  if (env == nullptr) return 0;
+  const auto jobs = runner::cli::parse_uint_u32(env);
+  if (!jobs.has_value()) {
+    std::fprintf(stderr,
+                 "error: CONTINU_BENCH_JOBS must be a non-negative integer "
+                 "(0 = all cores), got '%s'\n",
+                 env);
+    std::exit(1);
   }
-  return 0;
+  return *jobs;
 }
 
 /// Runs a batch of specs through the shared thread pool, spec order out.

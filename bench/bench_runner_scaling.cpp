@@ -34,7 +34,7 @@ namespace {
   using namespace continu;
   runner::ReplicationSpec base;
   base.label = "scaling";
-  base.config = bench::standard_config(nodes, 4242, /*churn=*/false);
+  base.config = bench::standard_config(4242, /*churn=*/false);
   base.trace = bench::standard_trace_config(nodes, 77);
   base.duration = 30.0;
   base.stable_from = 15.0;

@@ -59,7 +59,7 @@ int main() {
   };
   std::vector<runner::ReplicationSpec> specs;
   for (const auto& row : rows) {
-    auto config = bench::standard_config(1000, 77, row.churn);
+    auto config = bench::standard_config(77, row.churn);
     config.heterogeneous_bandwidth = row.heterogeneous;
     specs.push_back(bench::snapshot_spec(config, snapshot, "continu"));
     specs.push_back(bench::snapshot_spec(config.as_coolstreaming(), snapshot, "cool"));

@@ -17,15 +17,14 @@ Exit codes: 0 within budget, 1 budget regression, 2 usage / malformed
 or unreadable input.
 """
 
-import json
 import sys
+
+from gate_common import EXIT_MALFORMED, load_object, run_gate
 
 
 def check(bench_path: str, budget_path: str) -> int:
-    with open(bench_path, encoding="utf-8") as fh:
-        bench = json.load(fh)
-    with open(budget_path, encoding="utf-8") as fh:
-        budget = json.load(fh)
+    bench = load_object(bench_path)
+    budget = load_object(budget_path)
 
     if bench.get("scenario") != budget.get("scenario"):
         print(
@@ -34,7 +33,7 @@ def check(bench_path: str, budget_path: str) -> int:
             f"'{budget.get('scenario')}'",
             file=sys.stderr,
         )
-        return 2
+        return EXIT_MALFORMED
 
     measured = float(bench["memory"]["per_node_bytes"])
     limit = float(budget["max_per_node_bytes"])
@@ -86,20 +85,12 @@ def check(bench_path: str, budget_path: str) -> int:
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
-        return 2
-    try:
-        return check(sys.argv[1], sys.argv[2])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as error:
-        # Unreadable file, malformed JSON, or a record missing/mistyping
-        # a required field (memory.per_node_bytes, max_per_node_bytes,
-        # events_per_sec, ...): the documented exit 2 with a pointer at
-        # the culprit, never a raw traceback in the CI log.
-        print(
-            f"budget gate: cannot evaluate {sys.argv[1]} against "
-            f"{sys.argv[2]}: {type(error).__name__}: {error}",
-            file=sys.stderr,
-        )
-        return 2
+        return EXIT_MALFORMED
+    bench_path, budget_path = sys.argv[1], sys.argv[2]
+    return run_gate(
+        f"budget gate [{bench_path} against {budget_path}]",
+        lambda: check(bench_path, budget_path),
+    )
 
 
 if __name__ == "__main__":

@@ -25,8 +25,9 @@ malformed or unreadable input (matching check_budget.py).
 """
 
 import argparse
-import json
 import sys
+
+from gate_common import EXIT_MALFORMED, load_object, run_gate
 
 
 def load_group(paths: list[str], want_obs: bool) -> tuple[float, str]:
@@ -34,8 +35,7 @@ def load_group(paths: list[str], want_obs: bool) -> tuple[float, str]:
     best = 0.0
     scenario = None
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
+        record = load_object(path)
         if scenario is None:
             scenario = record["scenario"]
         elif record["scenario"] != scenario:
@@ -64,7 +64,7 @@ def check(args: argparse.Namespace) -> int:
             f"'{off_scenario}', on group ran '{on_scenario}'",
             file=sys.stderr,
         )
-        return 2
+        return EXIT_MALFORMED
 
     overhead_pct = (1.0 - on_best / off_best) * 100.0 if off_best > 0 else 0.0
     print(
@@ -85,8 +85,7 @@ def check(args: argparse.Namespace) -> int:
         failed = True
 
     if args.budget:
-        with open(args.budget, encoding="utf-8") as fh:
-            budget = json.load(fh)
+        budget = load_object(args.budget)
         floor = budget.get("min_events_per_sec")
         if budget.get("scenario") != off_scenario:
             print(
@@ -94,7 +93,7 @@ def check(args: argparse.Namespace) -> int:
                 f"'{budget.get('scenario')}', not '{off_scenario}'",
                 file=sys.stderr,
             )
-            return 2
+            return EXIT_MALFORMED
         if floor is not None and off_best < float(floor):
             print(
                 f"overhead gate: FAIL — obs-off throughput {off_best:,.0f} "
@@ -122,18 +121,8 @@ def main() -> int:
     parser.add_argument("--budget", default=None,
                         help="optional budget JSON re-enforcing its "
                              "min_events_per_sec floor on the obs-off runs")
-    try:
-        args = parser.parse_args()
-    except SystemExit:
-        return 2
-    try:
-        return check(args)
-    except (OSError, ValueError, KeyError, TypeError) as error:
-        print(
-            f"overhead gate: cannot evaluate: {type(error).__name__}: {error}",
-            file=sys.stderr,
-        )
-        return 2
+    args = parser.parse_args()  # a usage error exits 2 on its own
+    return run_gate("overhead gate", lambda: check(args))
 
 
 if __name__ == "__main__":

@@ -21,14 +21,14 @@ Exit codes: 0 gate passed (or not armed), 1 scaling regression,
 """
 
 import argparse
-import json
 import sys
+
+from gate_common import load_object, run_gate
 
 
 def check_record(path: str, width: int, floor: float) -> bool:
     """Returns True when the record passes (or the gate is not armed)."""
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
+    record = load_object(path)
 
     bench = record.get("bench", "?")
     hardware = int(record.get("hardware_concurrency", 0))
@@ -93,18 +93,17 @@ def main() -> int:
     parser.add_argument("--width", type=int, default=4)
     args = parser.parse_args()
 
-    ok = True
-    for path in args.benches:
-        try:
-            if not check_record(path, args.width, args.min_speedup):
-                ok = False
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as error:
-            # TypeError/AttributeError cover shape surprises the explicit
-            # checks miss (e.g. a field that is null or the wrong type):
-            # still a malformed-input exit 2, never a raw traceback.
-            print(f"scaling gate: cannot read {path}: {error}", file=sys.stderr)
-            return 2
-    return 0 if ok else 1
+    # Every record is checked, so one run reports every failing curve;
+    # the worst code wins (a malformed record's 2 over a regression's 1).
+    return max(
+        run_gate(
+            f"scaling gate [{path}]",
+            lambda path=path: (
+                0 if check_record(path, args.width, args.min_speedup) else 1
+            ),
+        )
+        for path in args.benches
+    )
 
 
 if __name__ == "__main__":

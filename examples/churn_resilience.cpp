@@ -26,7 +26,6 @@ int main() {
   for (const double churn : churn_rates) {
     core::SystemConfig config;
     config.seed = 3;
-    config.expected_nodes = 300.0;
     config.churn_enabled = churn > 0.0;
     config.churn.leave_fraction = churn;
     config.churn.join_fraction = churn;

@@ -42,7 +42,6 @@ int main() {
   const auto snapshot = trace::generate_snapshot(trace_config);
   core::SystemConfig config;
   config.seed = 11;
-  config.expected_nodes = 400.0;
 
   core::Session continu_session(config, snapshot);
   continu_session.run(45.0);

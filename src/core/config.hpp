@@ -72,12 +72,10 @@ struct SystemConfig {
   unsigned backup_replicas = 4;
   /// Max segments fetched per on-demand invocation l.
   unsigned prefetch_limit = 5;
-  /// Average one-hop overlay latency estimate t_hop (seconds) used for
-  /// the alpha adaptation step size; the paper estimates ~50 ms.
-  double t_hop_estimate = 0.05;
-  /// Expected overlay population estimate used in t_fetch (the paper:
-  /// "we can set n = N/2 initially; it does not need to be accurate").
-  double expected_nodes = 4096.0;
+  // The urgent line's t_hop and population estimate n are not settings:
+  // Session derives both from the trace (mean one-hop latency, node
+  // count) — the paper calls t_hop "an approximate estimation" and says
+  // n "does not need to be accurate".
 
   // --- scheduler / churn ---------------------------------------------------
   SchedulerKind scheduler = SchedulerKind::kContinuStreaming;
@@ -119,12 +117,6 @@ struct SystemConfig {
   /// per-tick RNG streams and merges stats/emissions in fixed shard
   /// order, so threads only changes wall-clock time.
   unsigned threads = 1;
-  /// Round-phase quantization: node-round phases are drawn from this
-  /// many evenly spaced buckets across the jitter range, so nodes in
-  /// the same bucket tick at the same instant and form a RoundScheduler
-  /// batch the executor can shard. 0 = continuous phases (every batch
-  /// is a single node; parallel execution degenerates to serial).
-  unsigned round_phase_buckets = 32;
   /// Latency quantization grid in milliseconds. 0 = the paper's
   /// continuous pairwise model (every delivery is its own serial
   /// event). Positive (1-5 ms in practice) snaps delivery instants UP

@@ -4,26 +4,11 @@
 #include <cassert>
 #include <limits>
 
-#include "analysis/continuity_model.hpp"
-
 namespace continu::core {
 
-namespace {
-[[nodiscard]] UrgentLineConfig urgent_config(const SystemConfig& config) {
-  UrgentLineConfig ul;
-  ul.playback_rate = config.playback_rate;
-  ul.buffer_capacity = config.buffer_capacity;
-  ul.scheduling_period = config.scheduling_period;
-  ul.t_hop = config.t_hop_estimate;
-  ul.t_fetch =
-      analysis::expected_fetch_time_s(config.expected_nodes, config.t_hop_estimate);
-  return ul;
-}
-}  // namespace
-
 Node::Node(NodeId id, std::size_t session_index, const SystemConfig& config,
-           const dht::IdSpace& space, double inbound_rate, double outbound_rate,
-           double ping_ms)
+           const UrgentLineConfig& urgent, const dht::IdSpace& space,
+           double inbound_rate, double outbound_rate, double ping_ms)
     : id_(id),
       session_index_(session_index),
       ping_ms_(ping_ms),
@@ -39,7 +24,7 @@ Node::Node(NodeId id, std::size_t session_index, const SystemConfig& config,
       overheard_(config.overheard_capacity),
       backup_(space, id, config.backup_replicas),
       rates_(/*initial_rate=*/static_cast<double>(config.playback_rate)),
-      urgent_line_(urgent_config(config)) {}
+      urgent_line_(urgent) {}
 
 double Node::available_sending_rate(SimTime now) const noexcept {
   const double backlog_s = std::max(0.0, uplink_free_at_ - now);

@@ -71,8 +71,8 @@ struct PackedStrike {
 class Node {
  public:
   Node(NodeId id, std::size_t session_index, const SystemConfig& config,
-       const dht::IdSpace& space, double inbound_rate, double outbound_rate,
-       double ping_ms);
+       const UrgentLineConfig& urgent, const dht::IdSpace& space,
+       double inbound_rate, double outbound_rate, double ping_ms);
 
   // --- identity -----------------------------------------------------------
   [[nodiscard]] NodeId id() const noexcept { return id_; }

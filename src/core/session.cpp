@@ -64,6 +64,11 @@ using net::WireCosts;
 /// runs at exact period boundaries, after every node has ticked).
 constexpr double kPhaseLo = 0.05;
 constexpr double kPhaseHi = 0.90;
+/// Round-phase quantization: node-round phases are drawn from this
+/// many evenly spaced buckets across [kPhaseLo, kPhaseHi), so nodes in
+/// the same bucket tick at the same instant and form a RoundScheduler
+/// batch the executor can shard (~N/32 nodes per batch).
+constexpr unsigned kRoundPhaseBuckets = 32;
 /// Churn executes just before the period boundary.
 constexpr double kChurnPhase = 0.95;
 /// In-flight transfers older than this many periods are abandoned.
@@ -128,9 +133,7 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
       // ParallelExecutor resolves 0 to hardware_concurrency itself.
       exec_(config.threads),
       rounds_(sim_, config.scheduling_period,
-              [this](std::size_t user) { on_round_tick(user); }) {
-  rounds_.set_batch_tick(
-      [this](const std::vector<std::size_t>& users) { on_round_batch(users); });
+              [this](const std::vector<std::size_t>& users) { on_round_batch(users); }) {
   network_.set_delivery_filter([this](std::size_t to) { return alive_index(to); });
   // Quantized-mode delivery buckets fork on the session's executor;
   // the hooks bracket each dispatch with per-shard stats scratch and
@@ -153,11 +156,18 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
     hooks.serial_scratch = &stats_;
     network_.set_shard_hooks(std::move(hooks));
   }
-  // Self-calibrate t_hop from the trace (the paper: "t_hop is ... an
-  // approximate estimation from our simulation experience"). Drives the
-  // urgent line's initial alpha, lower bound and adaptation step.
-  config_.t_hop_estimate = network_.latency().average_latency_ms() / 1000.0;
-  config_.expected_nodes = static_cast<double>(snapshot.node_count());
+  // Urgent-line inputs, derived from the trace rather than configured.
+  // t_hop is the mean one-hop latency (the paper: "an approximate
+  // estimation from our simulation experience"); the population
+  // estimate n behind t_fetch is the trace's node count (the paper: it
+  // "does not need to be accurate"). They set the urgent line's initial
+  // alpha, lower bound and adaptation step, and the prefetch horizon.
+  urgent_.playback_rate = config_.playback_rate;
+  urgent_.buffer_capacity = config_.buffer_capacity;
+  urgent_.scheduling_period = config_.scheduling_period;
+  urgent_.t_hop = network_.latency().average_latency_ms() / 1000.0;
+  urgent_.t_fetch = analysis::expected_fetch_time_s(
+      static_cast<double>(snapshot.node_count()), urgent_.t_hop);
   // Compile the fault plan. An inert plan installs nothing, so the
   // zero-fault send path never even branches into the injector.
   hardened_ = config_.retry.enabled;
@@ -174,8 +184,7 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
     exec_.set_observer(profiler_.get());
   }
   if (config_.obs.trace) {
-    trace_ = std::make_unique<obs::TraceSink>(config_.obs.trace_capacity,
-                                              config_.obs.trace_node);
+    trace_ = std::make_unique<obs::TraceSink>(obs::kTraceCapacity, config_.obs.trace_node);
     if (profiler_ != nullptr) profiler_->set_span_sink(trace_.get());
   }
   if (config_.obs.counters) {
@@ -211,8 +220,8 @@ void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
       inbound = 0.0;
       outbound = config_.source_outbound;
     }
-    auto node = std::make_unique<Node>(id, i, config_, space_, inbound, outbound,
-                                       snapshot.nodes()[i].ping_ms);
+    auto node = std::make_unique<Node>(id, i, config_, urgent_, space_, inbound,
+                                       outbound, snapshot.nodes()[i].ping_ms);
     if (i == 0) node->mark_source();
     directory_.insert(id);
     rp_.register_node(id);
@@ -317,18 +326,15 @@ void Session::populate_initial_dht() {
 
 SimTime Session::round_phase(util::Rng& rng) const {
   const double tau = config_.scheduling_period;
-  const unsigned buckets = config_.round_phase_buckets;
   const SimTime now = sim_.now();
-  if (buckets == 0) {
-    return now + rng.next_range(kPhaseLo, kPhaseHi) * tau;  // continuous
-  }
-  // Quantized: nodes sharing a bucket tick at the SAME instant, so
-  // RoundScheduler batches them and the executor has something to
-  // shard. Buckets span [kPhaseLo, kPhaseHi) — strictly before the
-  // churn phase (0.95 tau) and the sampler (period boundary), so a
-  // batch is never a mix of node rounds and reserved ticks.
-  const auto bucket = static_cast<double>(rng.next_below(buckets));
-  SimTime tick = (kPhaseLo + (kPhaseHi - kPhaseLo) * bucket / buckets) * tau;
+  // Nodes sharing a bucket tick at the SAME instant, so RoundScheduler
+  // batches them and the executor has something to shard. Buckets span
+  // [kPhaseLo, kPhaseHi) — strictly before the churn phase (0.95 tau)
+  // and the sampler (period boundary), so a batch is never a mix of
+  // node rounds and reserved ticks.
+  const auto bucket = static_cast<double>(rng.next_below(kRoundPhaseBuckets));
+  SimTime tick =
+      (kPhaseLo + (kPhaseHi - kPhaseLo) * bucket / kRoundPhaseBuckets) * tau;
   // A joiner must land on its bucket's ABSOLUTE grid, advanced with the
   // exact accumulation arithmetic the cohort's recurring ticks use
   // (next = fired + period) — phase + k*tau computed directly can miss
@@ -367,39 +373,34 @@ void Session::start_processes() {
   }
 }
 
-void Session::on_round_tick(std::size_t user) {
-  if (user == kSampleTickUser) {
-    on_sample_tick();
-  } else if (user == kChurnTickUser) {
-    on_churn_tick();
-  } else {
-    on_node_round(user);
-  }
-}
-
 void Session::on_round_batch(const std::vector<std::size_t>& users) {
-  // Reserved ticks ride phases of their own (phase construction keeps
-  // them out of node-round instants); if a config ever mixes them into
-  // one batch, fall back to strict serial dispatch — still
-  // deterministic, batch content does not depend on thread count. The
-  // fallback forfeits BOTH forked phases, so mixing node rounds in is
-  // counted: an accidental phase-layout change cannot quietly
-  // serialize every round (a test pins the counter at zero).
-  bool reserved = false;
-  bool node_rounds = false;
-  for (const std::size_t user : users) {
-    if (user == kSampleTickUser || user == kChurnTickUser) {
-      reserved = true;
-    } else {
-      node_rounds = true;
-    }
-  }
-  if (reserved) {
-    if (node_rounds) ++stats_.mixed_batch_fallbacks;
-    for (const std::size_t user : users) on_round_tick(user);
+  const auto reserved = [](std::size_t user) {
+    return user == kSampleTickUser || user == kChurnTickUser;
+  };
+  if (std::none_of(users.begin(), users.end(), reserved)) {
+    run_round_batch(users);
     return;
   }
-  run_round_batch(users);
+  // Reserved ticks ride phases of their own (round_phase keeps them
+  // out of node-round instants), so they normally batch alone. Should
+  // a phase-layout change ever mix node rounds in, the reserved ticks
+  // run first and the node rounds still take the forked path as one
+  // batch — deterministic either way — and the mix is counted, so a
+  // test pinning mixed_batch_fallbacks at zero catches the change.
+  std::vector<std::size_t> node_users;
+  for (const std::size_t user : users) {
+    if (user == kSampleTickUser) {
+      on_sample_tick();
+    } else if (user == kChurnTickUser) {
+      on_churn_tick();
+    } else {
+      node_users.push_back(user);
+    }
+  }
+  if (!node_users.empty()) {
+    ++stats_.mixed_batch_fallbacks;
+    run_round_batch(node_users);
+  }
 }
 
 void Session::run_round_batch(const std::vector<std::size_t>& users) {
@@ -543,34 +544,6 @@ void Session::on_source_emit() {
 // --------------------------------------------------------------------------
 // Node round
 // --------------------------------------------------------------------------
-
-void Session::on_node_round(std::size_t index) {
-  // Serial fallback (mixed batches): the SAME four phases the batched
-  // path runs, composed inline for one node; shard 0's scratch serves
-  // as the (immediately settled) deferred-record buffer. One semantic
-  // difference from the batched path, deliberate and thread-count
-  // independent: deferred records settle per NODE, not per batch, so a
-  // later node in the same mixed batch sees an earlier node's fresh
-  // playback start (pre-split serial semantics) instead of the
-  // batch-start snapshot. Mixed batches never form under the shipped
-  // phase layout — mixed_batch_fallbacks is pinned at zero by test —
-  // so the divergence is documentation, not behavior.
-  if (prepare_shards_.empty()) prepare_shards_.resize(1);
-  PrepareShard& scratch = prepare_shards_.front();
-  scratch.reset();
-  SessionStats prepare_delta;
-  round_prepare_local(index, prepare_delta, scratch, /*obs_shard=*/0);
-  stats_ += prepare_delta;
-  apply_prepare_shard(scratch);
-  round_prepare_link(index);
-  RoundPlan plan;
-  SessionStats delta;
-  sim::parallel::EmissionBuffer emissions;
-  round_plan(index, plan, delta, emissions);
-  stats_ += delta;
-  emissions.flush_into(sim_);
-  round_commit(index, plan);
-}
 
 void Session::round_prepare_local(std::size_t index, SessionStats& stats,
                                   PrepareShard& shard, std::size_t obs_shard) {
@@ -1385,11 +1358,9 @@ Session::PrefetchPlan Session::plan_prefetch(const Node& node,
   // the paper's "repeated data" case and alpha shrinks. Further out,
   // a segment already riding a gossip request is not yet "predicted
   // missed" and is left to the scheduler.
-  const double t_fetch = analysis::expected_fetch_time_s(
-      config_.expected_nodes, config_.t_hop_estimate);
   const SegmentId imminent =
       head + static_cast<SegmentId>(std::ceil(
-                 static_cast<double>(config_.playback_rate) * t_fetch)) + 1;
+                 static_cast<double>(config_.playback_rate) * urgent_.t_fetch)) + 1;
   // A segment the SAME round's scheduling plan just booked is not yet
   // in transfer_pending (bookings commit after the plan join), so
   // consult the plan directly — reproducing the serial rule that a
@@ -1688,7 +1659,7 @@ void Session::do_join() {
   const double ping = sample_ping();
   const std::size_t index = network_.latency().add_node(ping);
   auto node = std::make_unique<Node>(
-      id, index, config_, space_,
+      id, index, config_, urgent_, space_,
       sample_rate(config_.inbound_min, config_.inbound_max, /*skewed=*/true),
       sample_rate(config_.outbound_min, config_.outbound_max, /*skewed=*/false),
       ping);

@@ -69,11 +69,10 @@ struct SessionStats {
   std::uint64_t neighbor_replacements = 0;
   std::uint64_t transfer_timeouts = 0;
   /// Round batches that mixed reserved ticks (sample/churn) with node
-  /// rounds and therefore fell back to fully serial per-node dispatch.
-  /// Zero by construction (reserved ticks ride phases of their own);
-  /// a config change that accidentally lands them on node-round
-  /// instants would silently forfeit every forked phase, so the
-  /// degradation is counted and a test pins it at zero.
+  /// rounds. Zero by construction (reserved ticks ride phases of their
+  /// own); a phase-layout change that lands them on node-round instants
+  /// is counted here, and a test pins the counter at zero. The name is
+  /// historical; it stays because fingerprints print and hash it.
   std::uint64_t mixed_batch_fallbacks = 0;
   /// Deliveries dropped by the network's liveness filter (the receiver
   /// died while the message was in flight). Mirrored from
@@ -261,10 +260,8 @@ class Session {
   // (mutated only by delivery events) and started() flags (playback
   // starts are deferred to the join precisely so these stay frozen).
   void on_source_emit();
-  /// RoundScheduler dispatch: `user` is a node index or a reserved tag.
-  void on_round_tick(std::size_t user);
-  void on_node_round(std::size_t index);
-  /// Batch dispatch (RoundScheduler batch callback).
+  /// RoundScheduler batch callback: each user is a node index or a
+  /// reserved tag (sample / churn tick).
   void on_round_batch(const std::vector<std::size_t>& users);
   void run_round_batch(const std::vector<std::size_t>& users);
 
@@ -307,8 +304,8 @@ class Session {
     }
   };
 
-  /// `obs_shard` routes trace events to the recording worker's ring
-  /// (0 on the serial fallback path); unused when tracing is off.
+  /// `obs_shard` routes trace events to the recording worker's ring;
+  /// unused when tracing is off.
   void round_prepare_local(std::size_t index, SessionStats& stats,
                            PrepareShard& shard, std::size_t obs_shard);
   void round_prepare_link(std::size_t index);
@@ -345,7 +342,7 @@ class Session {
   /// Draws a round phase and returns the ABSOLUTE first-tick instant:
   /// the next occurrence of the drawn bucket's grid time (joiners merge
   /// bit-exactly into an existing cohort's batch). See
-  /// SystemConfig::round_phase_buckets.
+  /// kRoundPhaseBuckets in session.cpp.
   [[nodiscard]] SimTime round_phase(util::Rng& rng) const;
   /// GridMedia-style relay: push a freshly received segment onward.
   void push_relay(Node& node, SegmentId id);
@@ -411,6 +408,10 @@ class Session {
   void store_backup_if_responsible(Node& node, SegmentId id);
 
   SystemConfig config_;
+  /// Urgent-line inputs for every node, with t_hop and t_fetch derived
+  /// once from the trace (see the constructor); plan_prefetch reads
+  /// its t_fetch as the imminent-deadline horizon.
+  UrgentLineConfig urgent_;
   dht::IdSpace space_;
   sim::Simulator sim_;
   net::Network network_;
@@ -446,8 +447,7 @@ class Session {
   /// batch position (each shard writes a disjoint range); the shard-
   /// indexed buffers merge in shard order after the join. The prepare
   /// shards persist across batches so their arena pools stay warm
-  /// (steady state allocates nothing); shard 0 doubles as the scratch
-  /// for the serial mixed-batch fallback path.
+  /// (steady state allocates nothing).
   std::vector<RoundPlan> plans_;
   std::vector<SessionStats> shard_stats_;
   std::vector<sim::parallel::EmissionBuffer> shard_emissions_;

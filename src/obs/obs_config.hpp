@@ -15,6 +15,10 @@ namespace continu::obs {
 /// Sentinel for "trace every node" (no per-node timeline filter).
 inline constexpr std::uint32_t kTraceAllNodes = 0xFFFFFFFFu;
 
+/// Events per shard ring (memory = shards x capacity x ~40 B; the ring
+/// overwrites oldest, so a run always keeps its newest tail).
+inline constexpr std::size_t kTraceCapacity = 4096;
+
 struct ObsConfig {
   /// Phase profiler: wall-clock timers around round phases, delivery
   /// buckets and executor fork/joins, plus the Amdahl serial-fraction
@@ -29,9 +33,6 @@ struct ObsConfig {
   /// Per-node timeline filter: record only trace events whose node (or
   /// peer) session index matches. kTraceAllNodes = record everything.
   std::uint32_t trace_node = kTraceAllNodes;
-  /// Events per shard ring (memory = shards x capacity x ~40 B; the
-  /// ring overwrites oldest, so a run always keeps its newest tail).
-  std::size_t trace_capacity = 4096;
 
   [[nodiscard]] bool any() const noexcept { return profile || trace || counters; }
 };

@@ -8,7 +8,6 @@ core::SystemConfig Scenario::make_config(std::uint64_t seed) const {
   core::SystemConfig config;
   config.seed = seed;
   config.scheduler = scheduler;
-  config.expected_nodes = static_cast<double>(node_count);
   config.backup_replicas = backup_replicas;
   config.prefetch_limit = prefetch_limit;
   config.connected_neighbors = connected_neighbors;

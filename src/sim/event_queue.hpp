@@ -1,12 +1,13 @@
 #pragma once
-// Slot-pool event queue: a 4-ary implicit heap of 16-byte (time, id)
-// entries over a generation-stamped pool of event slots.
+// Slot-pool event queue: a binary implicit heap (std::push_heap /
+// std::pop_heap) of 16-byte (time, id) entries over a generation-
+// stamped pool of event slots.
 //
-// Design, and why it beats the previous binary heap + two
-// unordered_sets:
+// Design, and why it beats the previous binary heap of whole events +
+// two unordered_sets:
 //   * The heap holds only (time, id) — 16 bytes per entry instead of a
 //     48+ byte Event with its action, so sift paths touch 3x fewer
-//     cache lines; the 4-ary layout halves the tree depth on top.
+//     cache lines.
 //   * Actions live in a chunked slot pool with stable addresses. An
 //     EventId packs (sequence << 24 | slot): the monotonic sequence
 //     gives deterministic FIFO tie-breaking among equal times, the low

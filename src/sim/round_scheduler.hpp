@@ -16,9 +16,9 @@
 // ticks at exactly initial_time, initial_time + period,
 // initial_time + 2*period, ... with the SAME floating-point arithmetic
 // a self-rescheduling PeriodicProcess would produce (next = fired +
-// period), and equal-time ticks fire in add() order. Sessions driven
-// through a RoundScheduler are bit-identical to the per-node-process
-// fleet they replaced.
+// period), and equal-time ticks are reported in add() order, as one
+// batch per instant. Flattened, the batches list exactly the (time,
+// user) sequence a per-participant PeriodicProcess fleet would tick.
 //
 // Join/leave is O(1): add() takes a free slot (or appends), remove()
 // bumps the slot's generation and frees it — stale heap entries and
@@ -43,28 +43,23 @@ class RoundScheduler {
     std::uint32_t generation = 0;
   };
 
-  /// `tick` is invoked as tick(user) for every due participant, where
-  /// `user` is the value given to add(). One callback for the whole
-  /// fleet — per-participant state stays with the caller.
-  RoundScheduler(Simulator& sim, SimTime period,
-                 std::function<void(std::size_t user)> tick);
-
-  /// Batch dispatch: with a batch callback installed, every fire
-  /// reports ALL ticks due at the instant in ONE call — the users in
-  /// add() order — instead of one tick() call each. This is the shard
-  /// boundary for intra-session parallelism: the callee may fan the
-  /// batch out across a ParallelExecutor, provided it merges results
-  /// deterministically.
+  /// `batch` is invoked once per fire with ALL ticks due at that
+  /// instant — the users given to add(), in add() order. One callback
+  /// for the whole fleet — per-participant state stays with the caller.
+  /// This is the shard boundary for intra-session parallelism: the
+  /// callee may fan the batch out across a ParallelExecutor, provided
+  /// it merges results deterministically.
   ///
-  /// Semantics differences from per-tick mode, both deterministic:
-  ///  * a participant removed by an EARLIER tick of the same batch
-  ///    still appears in the batch (the callee must check liveness);
-  ///    rescheduling honors the removal as usual;
+  /// Two consequences of reporting a batch at once, both deterministic:
+  ///  * a participant removed while the callee handles an EARLIER user
+  ///    of the same batch still appears in the batch (the callee must
+  ///    check liveness); rescheduling honors the removal as usual;
   ///  * a participant add()ed during the batch with zero initial delay
   ///    fires via an immediate proxy re-arm rather than inside the
   ///    current batch.
   using BatchTick = std::function<void(const std::vector<std::size_t>& users)>;
-  void set_batch_tick(BatchTick batch) { batch_tick_ = std::move(batch); }
+  RoundScheduler(Simulator& sim, SimTime period, BatchTick batch);
+
   /// Cancels the armed proxy event: a scheduler may die before its
   /// simulator without leaving a dangling [this] action behind.
   ~RoundScheduler();
@@ -132,11 +127,10 @@ class RoundScheduler {
 
   Simulator& sim_;
   SimTime period_;
-  std::function<void(std::size_t)> tick_;
   BatchTick batch_tick_;
   std::vector<Participant> parts_;
   std::vector<Entry> heap_;
-  /// Scratch for batch mode, reused across fires (no per-fire allocs).
+  /// Per-fire scratch, reused across fires (no per-fire allocs).
   std::vector<Entry> due_entries_;
   std::vector<std::size_t> due_users_;
   std::uint32_t free_head_ = kNoSlot;

@@ -22,7 +22,6 @@ trace::TraceSnapshot small_trace(std::size_t n, std::uint64_t seed) {
 SystemConfig small_config(std::uint64_t seed) {
   SystemConfig config;
   config.seed = seed;
-  config.expected_nodes = 100.0;
   return config;
 }
 

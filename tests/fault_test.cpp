@@ -116,8 +116,8 @@ TEST(FaultInjector, LatencySpikesAddDelayOnlyInsideTheWindow) {
 
 core::Node test_node(NodeId id, const dht::IdSpace& space,
                      const core::SystemConfig& config) {
-  return core::Node(id, /*session_index=*/0, config, space,
-                    /*inbound_rate=*/15.0, /*outbound_rate=*/15.0,
+  return core::Node(id, /*session_index=*/0, config, core::UrgentLineConfig{},
+                    space, /*inbound_rate=*/15.0, /*outbound_rate=*/15.0,
                     /*ping_ms=*/50.0);
 }
 
@@ -298,7 +298,6 @@ TEST(FaultSession, GracefulAndAbruptLeavesDifferInRecoveryCounters) {
     const auto snapshot = trace::generate_snapshot(tc);
     core::SystemConfig config;
     config.seed = 42;
-    config.expected_nodes = 200.0;
     config.backup_replicas = 1;
     config.churn_enabled = true;
     config.churn.leave_fraction = 0.05;
@@ -332,7 +331,6 @@ TEST(FaultSession, SteadyStateStaysAllocationLeanUnderFaults) {
   const auto snapshot = trace::generate_snapshot(tc);
   core::SystemConfig config;
   config.seed = 24;
-  config.expected_nodes = 200.0;
   config.threads = 4;
   config.fault.loss_rate = 0.02;
   config.retry.enabled = true;

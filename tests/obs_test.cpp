@@ -216,7 +216,6 @@ runner::ReplicationSpec small_quantized_spec(bool obs_on, unsigned threads) {
   spec.config.seed = 7;
   spec.config.threads = threads;
   spec.config.latency_grid_ms = 1.0;  // quantized mode: delivery forks run
-  spec.config.expected_nodes = 200.0;
   spec.trace.node_count = 200;
   spec.trace.average_degree = 2.5;
   spec.trace.seed = 3;

@@ -237,8 +237,7 @@ TEST(DeferredEmissions, PastTimesClampToNow) {
 TEST(RoundSchedulerBatch, SameInstantTicksArriveAsOneBatch) {
   sim::Simulator sim;
   std::vector<std::vector<std::size_t>> batches;
-  sim::RoundScheduler rounds(sim, 1.0, [](std::size_t) { FAIL() << "per-tick"; });
-  rounds.set_batch_tick([&batches](const std::vector<std::size_t>& users) {
+  sim::RoundScheduler rounds(sim, 1.0, [&batches](const std::vector<std::size_t>& users) {
     batches.push_back(users);
   });
   rounds.add(0.5, 10);
@@ -257,15 +256,16 @@ TEST(RoundSchedulerBatch, SameInstantTicksArriveAsOneBatch) {
 
 TEST(RoundSchedulerBatch, RemovalDuringBatchStopsRescheduling) {
   sim::Simulator sim;
-  sim::RoundScheduler rounds(sim, 1.0, [](std::size_t) {});
   std::vector<sim::RoundScheduler::Handle> handles;
   std::vector<std::size_t> seen;
-  rounds.set_batch_tick([&](const std::vector<std::size_t>& users) {
+  sim::RoundScheduler* rptr = nullptr;
+  sim::RoundScheduler rounds(sim, 1.0, [&](const std::vector<std::size_t>& users) {
     for (const std::size_t user : users) {
       seen.push_back(user);
-      if (user == 1) rounds.remove(handles[2]);  // kill participant 2
+      if (user == 1) rptr->remove(handles[2]);  // kill participant 2
     }
   });
+  rptr = &rounds;
   handles.push_back(rounds.add(0.5, 0));
   handles.push_back(rounds.add(0.5, 1));
   handles.push_back(rounds.add(0.5, 2));
@@ -287,8 +287,7 @@ TEST(RoundSchedulerBatch, AddAtMergesLateJoinerIntoCohortBatch) {
   // under churn instead of fragmenting into per-join singletons.
   sim::Simulator sim;
   std::vector<std::vector<std::size_t>> batches;
-  sim::RoundScheduler rounds(sim, 1.0, [](std::size_t) {});
-  rounds.set_batch_tick([&batches](const std::vector<std::size_t>& users) {
+  sim::RoundScheduler rounds(sim, 1.0, [&batches](const std::vector<std::size_t>& users) {
     batches.push_back(users);
   });
   const double phase = 0.3;
@@ -317,7 +316,6 @@ TEST(SessionThreads, ResultsBitIdenticalAcrossThreadCounts) {
   const auto fingerprint_at = [&snapshot](unsigned threads, bool churn) {
     core::SystemConfig config;
     config.seed = 42;
-    config.expected_nodes = 200;
     config.threads = threads;
     config.churn_enabled = churn;
     runner::ReplicationSpec spec;
@@ -357,7 +355,6 @@ TEST(QuantizedDelivery, SessionsBitIdenticalAcrossThreadCounts) {
                                           double grid_ms) {
     core::SystemConfig config;
     config.seed = 42;
-    config.expected_nodes = 200;
     config.threads = threads;
     config.churn_enabled = churn;
     config.latency_grid_ms = grid_ms;
@@ -446,10 +443,9 @@ TEST(QuantizedDelivery, ForkedBucketMatchesInlineFallback) {
 
 TEST(PrepareSplit, TimeoutSweepDropsStaleEntriesAndReportsSuppliersOnce) {
   core::SystemConfig config;
-  config.expected_nodes = 100.0;
   const dht::IdSpace space(1024);
-  core::Node node(/*id=*/7, /*session_index=*/1, config, space,
-                  /*inbound=*/10.0, /*outbound=*/10.0, /*ping_ms=*/50.0);
+  core::Node node(/*id=*/7, /*session_index=*/1, config, core::UrgentLineConfig{},
+                  space, /*inbound=*/10.0, /*outbound=*/10.0, /*ping_ms=*/50.0);
 
   ASSERT_TRUE(node.begin_transfer(1, core::TransferKind::kScheduled, 11, 0.0));
   ASSERT_TRUE(node.begin_transfer(2, core::TransferKind::kScheduled, 12, 1.0));
@@ -496,7 +492,6 @@ TEST(PrepareSplit, ThreadsInvarianceExercisesTimeoutsAndChurnStarts) {
     for (const unsigned threads : {1u, 4u}) {
       core::SystemConfig config;
       config.seed = 44;
-      config.expected_nodes = 200.0;
       config.threads = threads;
       config.churn_enabled = churn;
       runner::ReplicationSpec spec;
@@ -536,7 +531,6 @@ TEST(PrepareSplit, DeferredRateDecayLeavesIdenticalEstimatesAtAnyThreadCount) {
   const auto run_session = [&snapshot](unsigned threads) {
     core::SystemConfig config;
     config.seed = 17;
-    config.expected_nodes = 150.0;
     config.threads = threads;
     config.churn_enabled = true;
     auto session = std::make_unique<core::Session>(config, snapshot);
@@ -575,7 +569,6 @@ TEST(PrepareSplit, WindowMaterializationStaysAllocationFreeWhenForked) {
 
   core::SystemConfig config;
   config.seed = 26;
-  config.expected_nodes = 200.0;
   config.threads = 4;
   core::Session session(config, snapshot);
   session.run(10.0);  // warm-up: shard pools fill, buffers saturate
@@ -598,11 +591,10 @@ TEST(PrepareSplit, WindowMaterializationStaysAllocationFreeWhenForked) {
 
 TEST(PrepareSplit, MixedBatchFallbacksStayZeroAcrossMatrix) {
   // Reserved ticks (sampler, churn) ride phases of their own, so no
-  // batch should ever mix them with node rounds and fall back to
-  // serial dispatch. A phase-layout change that breaks this would
-  // silently forfeit BOTH forked phases — pin the counter at zero
-  // across the named matrix (large scenarios trimmed/skipped to keep
-  // the suite fast; their phase construction is identical).
+  // batch should ever mix them with node rounds. A phase-layout change
+  // that breaks this is counted — pin the counter at zero across the
+  // named matrix (large scenarios trimmed/skipped to keep the suite
+  // fast; their phase construction is identical).
   for (const auto& scenario : runner::scenario_matrix()) {
     if (scenario.node_count > 2000) continue;
     auto spec = runner::spec_for(scenario, 42);
@@ -640,7 +632,6 @@ TEST(RunnerThreads, ArbitratesCoreBudget) {
 TEST(RunnerThreads, ThreadsOverrideDoesNotChangeResults) {
   runner::ReplicationSpec base;
   base.config.seed = 5;
-  base.config.expected_nodes = 150;
   base.trace.node_count = 150;
   base.trace.seed = 77;
   base.duration = 20.0;

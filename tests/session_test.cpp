@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "analysis/continuity_model.hpp"
 #include "core/config.hpp"
 #include "core/session.hpp"
+#include "net/latency_model.hpp"
 #include "net/message.hpp"
 #include "trace/generator.hpp"
 
@@ -22,7 +25,6 @@ trace::TraceSnapshot small_trace(std::size_t n, std::uint64_t seed) {
 SystemConfig small_config(std::uint64_t seed) {
   SystemConfig config;
   config.seed = seed;
-  config.expected_nodes = 100.0;
   return config;
 }
 
@@ -76,6 +78,36 @@ TEST(Session, SourceConfiguration) {
   EXPECT_TRUE(session.source().is_source());
   EXPECT_DOUBLE_EQ(session.source().inbound_rate(), 0.0);
   EXPECT_DOUBLE_EQ(session.source().outbound_rate(), config.source_outbound);
+}
+
+TEST(Session, UrgentLineInputsComeFromTheTrace) {
+  // t_hop is the trace's mean one-hop latency and the population
+  // estimate n behind t_fetch is the trace's node count; no setting
+  // feeds either. A short period makes the eq. 9 lower bound
+  // p/B * max(tau, t_fetch) select t_fetch, so n shows in it too.
+  // Churn joiners must get the same trace-derived line.
+  const auto snapshot = small_trace(200, 15);
+  auto config = small_config(18);
+  config.scheduling_period = 0.25;
+  config.churn_enabled = true;
+  Session session(config, snapshot);
+  session.run(10.0);
+  ASSERT_GT(session.node_count(), snapshot.node_count()) << "premise: joiners exist";
+
+  const double t_hop =
+      net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0).average_latency_ms() /
+      1000.0;
+  const double t_fetch = analysis::expected_fetch_time_s(
+      static_cast<double>(snapshot.node_count()), t_hop);
+  ASSERT_GT(t_fetch, config.scheduling_period) << "premise: t_fetch sets the bound";
+  const double p = static_cast<double>(config.playback_rate);
+  const double b = static_cast<double>(config.buffer_capacity);
+  for (const std::size_t i : {std::size_t{0}, snapshot.node_count() - 1,
+                              session.node_count() - 1}) {
+    const UrgentLine& line = session.node(i).urgent_line();
+    EXPECT_DOUBLE_EQ(line.step(), p * t_hop / b) << "node " << i;
+    EXPECT_DOUBLE_EQ(line.lower_bound(), std::min(p / b * t_fetch, 1.0)) << "node " << i;
+  }
 }
 
 TEST(Session, HeterogeneousRatesWithinRange) {
@@ -295,7 +327,6 @@ TEST(Session, StallMechanismSelfHeals) {
   const auto snapshot = trace::generate_snapshot(tc);
   SystemConfig config;
   config.seed = 9;
-  config.expected_nodes = 400.0;
   Session session(config, snapshot);
   session.run(45.0);
   const double late = session.continuity().stable_mean(30.0);

@@ -521,6 +521,14 @@ TEST(PeriodicProcess, DestructorCancelsPendingTick) {
 
 // --- RoundScheduler --------------------------------------------------------
 
+/// Batch callback that flattens each batch into one tick(user) call per
+/// user, in batch (= add) order.
+RoundScheduler::BatchTick each_user(std::function<void(std::size_t)> tick) {
+  return [tick = std::move(tick)](const std::vector<std::size_t>& users) {
+    for (const std::size_t user : users) tick(user);
+  };
+}
+
 TEST(RoundScheduler, TicksMatchEquivalentPeriodicProcesses) {
   // The determinism contract: a RoundScheduler fleet fires at exactly
   // the times (and in exactly the order) the per-participant
@@ -540,9 +548,9 @@ TEST(RoundScheduler, TicksMatchEquivalentPeriodicProcesses) {
 
   Simulator sim;
   std::vector<std::pair<double, std::size_t>> ticks;
-  RoundScheduler rounds(sim, 1.0, [&ticks, &sim](std::size_t user) {
+  RoundScheduler rounds(sim, 1.0, each_user([&ticks, &sim](std::size_t user) {
     ticks.emplace_back(sim.now(), user);
-  });
+  }));
   for (std::size_t i = 0; i < phases.size(); ++i) (void)rounds.add(phases[i], i);
   sim.run_until(5.0);
 
@@ -554,9 +562,9 @@ TEST(RoundScheduler, TicksMatchEquivalentPeriodicProcesses) {
 TEST(RoundScheduler, EqualPhasesBatchInAddOrder) {
   Simulator sim;
   std::vector<std::size_t> order;
-  RoundScheduler rounds(sim, 2.0, [&order](std::size_t user) {
+  RoundScheduler rounds(sim, 2.0, each_user([&order](std::size_t user) {
     order.push_back(user);
-  });
+  }));
   (void)rounds.add(0.5, 7);
   (void)rounds.add(0.5, 3);
   (void)rounds.add(0.5, 9);
@@ -570,10 +578,10 @@ TEST(RoundScheduler, RemoveStopsTicks) {
   Simulator sim;
   int a_count = 0;
   int b_count = 0;
-  RoundScheduler rounds(sim, 1.0, [&](std::size_t user) {
+  RoundScheduler rounds(sim, 1.0, each_user([&](std::size_t user) {
     if (user == 0) ++a_count;
     if (user == 1) ++b_count;
-  });
+  }));
   const auto a = rounds.add(0.25, 0);
   (void)rounds.add(0.5, 1);
   sim.run_until(2.0);
@@ -589,7 +597,8 @@ TEST(RoundScheduler, RemoveStopsTicks) {
 TEST(RoundScheduler, StaleHandleCannotRemoveSlotReuser) {
   Simulator sim;
   std::vector<std::size_t> ticked;
-  RoundScheduler rounds(sim, 1.0, [&](std::size_t user) { ticked.push_back(user); });
+  RoundScheduler rounds(sim, 1.0,
+                        each_user([&](std::size_t user) { ticked.push_back(user); }));
   const auto first = rounds.add(0.5, 100);
   EXPECT_TRUE(rounds.remove(first));
   const auto second = rounds.add(0.5, 200);  // reuses the freed slot
@@ -608,13 +617,13 @@ TEST(RoundScheduler, AddAndRemoveFromWithinTick) {
   std::vector<std::size_t> ticked;
   RoundScheduler* rptr = nullptr;
   RoundScheduler::Handle h0;
-  RoundScheduler rounds(sim, 1.0, [&](std::size_t user) {
+  RoundScheduler rounds(sim, 1.0, each_user([&](std::size_t user) {
     ticked.push_back(user);
     if (user == 0) {
       (void)rptr->add(0.4, 5);
       rptr->remove(h0);
     }
-  });
+  }));
   rptr = &rounds;
   h0 = rounds.add(0.2, 0);
   (void)rounds.add(0.6, 1);
@@ -632,9 +641,9 @@ TEST(RoundScheduler, RemoveOutsideTickNeverTicksSurvivorsEarly) {
   // proxy fire the NEXT participant ahead of its time.
   Simulator sim;
   std::vector<std::pair<double, std::size_t>> ticks;
-  RoundScheduler rounds(sim, 10.0, [&](std::size_t user) {
+  RoundScheduler rounds(sim, 10.0, each_user([&](std::size_t user) {
     ticks.emplace_back(sim.now(), user);
-  });
+  }));
   const auto a = rounds.add(1.0, 0);  // proxy armed for t=1.0
   (void)rounds.add(2.0, 1);
   sim.schedule_at(0.5, [&] { rounds.remove(a); });
@@ -647,10 +656,10 @@ TEST(RoundScheduler, SelfRemovalFromOwnTickStopsRearm) {
   int count = 0;
   RoundScheduler* rptr = nullptr;
   RoundScheduler::Handle self;
-  RoundScheduler rounds(sim, 1.0, [&](std::size_t) {
+  RoundScheduler rounds(sim, 1.0, each_user([&](std::size_t) {
     ++count;
     if (count == 2) rptr->remove(self);
-  });
+  }));
   rptr = &rounds;
   self = rounds.add(0.5, 0);
   sim.run_until(10.0);
@@ -662,7 +671,7 @@ TEST(RoundScheduler, DestructionCancelsArmedProxy) {
   Simulator sim;
   int ticks = 0;
   {
-    RoundScheduler rounds(sim, 1.0, [&](std::size_t) { ++ticks; });
+    RoundScheduler rounds(sim, 1.0, each_user([&](std::size_t) { ++ticks; }));
     (void)rounds.add(0.5, 0);
   }
   sim.run_until(10.0);  // must not fire into the destroyed scheduler
@@ -671,8 +680,9 @@ TEST(RoundScheduler, DestructionCancelsArmedProxy) {
 
 TEST(RoundScheduler, RejectsBadArguments) {
   Simulator sim;
-  EXPECT_THROW(RoundScheduler(sim, 0.0, [](std::size_t) {}), std::invalid_argument);
-  EXPECT_THROW(RoundScheduler(sim, 1.0, std::function<void(std::size_t)>{}),
+  EXPECT_THROW(RoundScheduler(sim, 0.0, each_user([](std::size_t) {})),
+               std::invalid_argument);
+  EXPECT_THROW(RoundScheduler(sim, 1.0, RoundScheduler::BatchTick{}),
                std::invalid_argument);
 }
 
