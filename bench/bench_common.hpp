@@ -36,7 +36,6 @@ namespace continu::bench {
                                                                   std::uint64_t seed) {
   trace::GeneratorConfig config;
   config.node_count = nodes;
-  config.average_degree = 2.5;
   config.seed = seed;
   return config;
 }
@@ -45,13 +44,6 @@ namespace continu::bench {
                                                          std::uint64_t seed) {
   return trace::generate_snapshot(standard_trace_config(nodes, seed));
 }
-
-/// Default run horizons: the paper tracks 0-30 s and reports stable-phase
-/// values; we run a little longer and average the stable window.
-struct Horizon {
-  double duration = 45.0;
-  double stable_from = 20.0;
-};
 
 /// Paper-standard system configuration (the urgent line's population
 /// and hop-latency estimates come from the trace, not from here).
@@ -62,30 +54,16 @@ struct Horizon {
   return config;
 }
 
-/// Spec over a generated standard trace (workers build the snapshot).
-[[nodiscard]] inline runner::ReplicationSpec standard_spec(
-    const core::SystemConfig& config, std::size_t nodes, std::uint64_t trace_seed,
-    std::string label = "", Horizon horizon = {}) {
-  runner::ReplicationSpec spec;
-  spec.label = std::move(label);
-  spec.config = config;
-  spec.trace = standard_trace_config(nodes, trace_seed);
-  spec.duration = horizon.duration;
-  spec.stable_from = horizon.stable_from;
-  return spec;
-}
-
-/// Spec over a pre-built snapshot (corpus sweeps, loaded trace files).
+/// Spec over a pre-built snapshot (corpus sweeps, loaded trace files),
+/// run over ReplicationSpec's default 45 s horizon with the stable
+/// window from 20 s.
 [[nodiscard]] inline runner::ReplicationSpec snapshot_spec(
     const core::SystemConfig& config,
-    std::shared_ptr<const trace::TraceSnapshot> snapshot, std::string label = "",
-    Horizon horizon = {}) {
+    std::shared_ptr<const trace::TraceSnapshot> snapshot, std::string label = "") {
   runner::ReplicationSpec spec;
   spec.label = std::move(label);
   spec.config = config;
   spec.snapshot = std::move(snapshot);
-  spec.duration = horizon.duration;
-  spec.stable_from = horizon.stable_from;
   return spec;
 }
 

@@ -11,16 +11,12 @@
 // join to settle in shard order — the same deferred-emission contract
 // the forked prepare-local and plan phases follow.
 //
-// DeliveryAction is the storage for such handlers: a move-only,
-// small-buffer-optimized callable invoked as void(DeliveryContext&),
-// mirroring sim::EventAction so buffering a delivery allocates nothing
-// for inline-sized captures.
+// DeliveryAction is the storage for such handlers:
+// sim::InlineAction<void(DeliveryContext&)>, the same small-buffer
+// callable as sim::EventAction with the context as its call argument.
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,144 +28,11 @@ namespace continu::net {
 class Network;
 class DeliveryContext;
 
-class DeliveryAction {
- public:
-  /// Matches sim::EventAction::kInlineCapacity: the delivery handlers
-  /// the session schedules top out at 48 capture bytes.
-  static constexpr std::size_t kInlineCapacity = sim::EventAction::kInlineCapacity;
-
-  DeliveryAction() noexcept = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, DeliveryAction> &&
-                std::is_invocable_v<std::decay_t<F>&, DeliveryContext&>>>
-  // NOLINTNEXTLINE(google-explicit-constructor): implicit by design,
-  // mirroring EventAction at the send call sites.
-  DeliveryAction(F&& f) {
-    emplace(std::forward<F>(f));
-  }
-
-  DeliveryAction(DeliveryAction&& other) noexcept { move_from(other); }
-  DeliveryAction& operator=(DeliveryAction&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  DeliveryAction(const DeliveryAction&) = delete;
-  DeliveryAction& operator=(const DeliveryAction&) = delete;
-  ~DeliveryAction() { reset(); }
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  template <typename F>
-  void emplace(F&& f) {
-    using D = std::decay_t<F>;
-    reset();
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &OpsFor<D, /*Inline=*/true>::ops;
-    } else {
-      *reinterpret_cast<D**>(static_cast<void*>(buf_)) = new D(std::forward<F>(f));
-      ops_ = &OpsFor<D, /*Inline=*/false>::ops;
-    }
-  }
-
-  [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-  /// Invokes the held handler. Requires non-empty.
-  void operator()(DeliveryContext& ctx) { ops_->invoke(buf_, ctx); }
-
-  /// Invokes once and destroys (fused fire-and-free) — the bucket
-  /// dispatch path. Requires non-empty.
-  void consume(DeliveryContext& ctx) {
-    const Ops* ops = ops_;
-    ops_ = nullptr;
-    ops->consume(buf_, ctx);
-  }
-
-  [[nodiscard]] bool stored_inline() const noexcept {
-    return ops_ != nullptr && ops_->inline_stored;
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void* storage, DeliveryContext& ctx);
-    void (*consume)(void* storage, DeliveryContext& ctx);
-    void (*relocate)(void* dst, void* src) noexcept;
-    void (*destroy)(void* storage) noexcept;
-    bool inline_stored;
-  };
-
-  template <typename D>
-  [[nodiscard]] static constexpr bool fits_inline() noexcept {
-    return sizeof(D) <= kInlineCapacity &&
-           alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
-
-  template <typename D, bool Inline>
-  struct OpsFor;
-
-  template <typename D>
-  struct OpsFor<D, true> {
-    static D* self(void* p) noexcept { return std::launder(reinterpret_cast<D*>(p)); }
-    static void invoke(void* p, DeliveryContext& ctx) { (*self(p))(ctx); }
-    static void consume(void* p, DeliveryContext& ctx) {
-      D* s = self(p);
-      struct Guard {
-        D* d;
-        ~Guard() { d->~D(); }
-      } guard{s};
-      (*s)(ctx);
-    }
-    static void relocate(void* dst, void* src) noexcept {
-      D* s = self(src);
-      ::new (dst) D(std::move(*s));
-      s->~D();
-    }
-    static void destroy(void* p) noexcept { self(p)->~D(); }
-    static constexpr Ops ops = {&invoke, &consume, &relocate, &destroy, true};
-  };
-
-  template <typename D>
-  struct OpsFor<D, false> {
-    static D* held(void* p) noexcept {
-      return *std::launder(reinterpret_cast<D**>(p));
-    }
-    static void invoke(void* p, DeliveryContext& ctx) { (*held(p))(ctx); }
-    static void consume(void* p, DeliveryContext& ctx) {
-      struct Guard {
-        D* h;
-        ~Guard() { delete h; }
-      } guard{held(p)};
-      (*guard.h)(ctx);
-    }
-    static void relocate(void* dst, void* src) noexcept {
-      std::memcpy(dst, src, sizeof(D*));
-    }
-    static void destroy(void* p) noexcept { delete held(p); }
-    static constexpr Ops ops = {&invoke, &consume, &relocate, &destroy, false};
-  };
-
-  void move_from(DeliveryAction& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->relocate(buf_, other.buf_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
-  const Ops* ops_ = nullptr;
-};
+/// Storage for a sharded delivery handler: the void(DeliveryContext&)
+/// instantiation of the engine's small-buffer action, so buffering a
+/// delivery allocates nothing for inline-sized captures (the handlers
+/// the session sends top out at 48 capture bytes).
+using DeliveryAction = sim::InlineAction<void(DeliveryContext&)>;
 
 /// A sharded continuation recorded by DeliveryContext::forward — a
 /// local (no wire charge, no liveness filter) delivery to run at

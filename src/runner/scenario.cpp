@@ -5,54 +5,14 @@
 namespace continu::runner {
 
 core::SystemConfig Scenario::make_config(std::uint64_t seed) const {
-  core::SystemConfig config;
-  config.seed = seed;
-  config.scheduler = scheduler;
-  config.backup_replicas = backup_replicas;
-  config.prefetch_limit = prefetch_limit;
-  config.connected_neighbors = connected_neighbors;
-  config.heterogeneous_bandwidth = heterogeneous_bandwidth;
-  config.playback_rate = playback_rate;
-  config.latency_grid_ms = latency_grid_ms;
-  config.fault = fault;
-  config.retry.enabled = harden;
-  if (churn) {
-    config.churn_enabled = true;
-    config.churn.leave_fraction = churn_fraction;
-    config.churn.join_fraction = churn_fraction;
-    config.churn.graceful_fraction = graceful_fraction;
-  }
-  return config;
-}
-
-Scenario Scenario::with(const ScenarioOverrides& o, std::string derived_name) const {
-  Scenario s = *this;
-  s.name = std::move(derived_name);
-  if (o.node_count) s.node_count = *o.node_count;
-  if (o.churn) s.churn = *o.churn;
-  if (o.churn_fraction) {
-    s.churn_fraction = *o.churn_fraction;
-    s.churn = *o.churn_fraction > 0.0;  // rate implies the toggle
-  }
-  if (o.graceful_fraction) s.graceful_fraction = *o.graceful_fraction;
-  if (o.playback_rate) s.playback_rate = *o.playback_rate;
-  if (o.connected_neighbors) s.connected_neighbors = *o.connected_neighbors;
-  if (o.backup_replicas) s.backup_replicas = *o.backup_replicas;
-  if (o.prefetch_limit) s.prefetch_limit = *o.prefetch_limit;
-  if (o.scheduler) s.scheduler = *o.scheduler;
-  if (o.latency_grid_ms) s.latency_grid_ms = *o.latency_grid_ms;
-  if (o.fault) s.fault = *o.fault;
-  if (o.harden) s.harden = *o.harden;
-  if (o.trace_seed) s.trace_seed = *o.trace_seed;
-  if (o.duration) s.duration = *o.duration;
-  if (o.stable_from) s.stable_from = *o.stable_from;
-  return s;
+  core::SystemConfig c = config;
+  c.seed = seed;
+  return c;
 }
 
 trace::GeneratorConfig Scenario::make_trace() const {
   trace::GeneratorConfig tc;
   tc.node_count = node_count;
-  tc.average_degree = average_degree;
   tc.seed = trace_seed;
   return tc;
 }
@@ -87,7 +47,7 @@ namespace {
     s.description = "1000 nodes, 5% churn per period (fig6 environment)";
     s.node_count = 1000;
     s.trace_seed = 56;
-    s.churn = true;
+    s.config.churn_enabled = true;
     add(s);
   }
   {
@@ -104,8 +64,8 @@ namespace {
     s.description = "500 nodes, 5% churn, all departures abrupt (worst case)";
     s.node_count = 500;
     s.trace_seed = 700;
-    s.churn = true;
-    s.graceful_fraction = 0.0;
+    s.config.churn_enabled = true;
+    s.config.churn.graceful_fraction = 0.0;
     add(s);
   }
 
@@ -135,7 +95,7 @@ namespace {
     s.description = "1000 nodes, static, CoolStreaming baseline";
     s.node_count = 1000;
     s.trace_seed = 55;
-    s.scheduler = core::SchedulerKind::kCoolStreaming;
+    s.config.scheduler = core::SchedulerKind::kCoolStreaming;
     add(s);
   }
   {
@@ -144,8 +104,8 @@ namespace {
     s.description = "1000 nodes, 5% churn, CoolStreaming baseline";
     s.node_count = 1000;
     s.trace_seed = 56;
-    s.churn = true;
-    s.scheduler = core::SchedulerKind::kCoolStreaming;
+    s.config.churn_enabled = true;
+    s.config.scheduler = core::SchedulerKind::kCoolStreaming;
     add(s);
   }
   {
@@ -154,7 +114,7 @@ namespace {
     s.description = "1000 nodes, static, GridMedia push-pull baseline";
     s.node_count = 1000;
     s.trace_seed = 55;
-    s.scheduler = core::SchedulerKind::kGridMediaPushPull;
+    s.config.scheduler = core::SchedulerKind::kGridMediaPushPull;
     add(s);
   }
 
@@ -165,7 +125,7 @@ namespace {
     s.description = "500 nodes, static, prefetch disabled (l = 0): gossip-only";
     s.node_count = 500;
     s.trace_seed = 700;
-    s.prefetch_limit = 0;
+    s.config.prefetch_limit = 0;
     add(s);
   }
   {
@@ -174,8 +134,8 @@ namespace {
     s.description = "500 nodes, static, aggressive prefetch (l = 10, k = 6)";
     s.node_count = 500;
     s.trace_seed = 700;
-    s.prefetch_limit = 10;
-    s.backup_replicas = 6;
+    s.config.prefetch_limit = 10;
+    s.config.backup_replicas = 6;
     add(s);
   }
   {
@@ -184,62 +144,62 @@ namespace {
     s.description = "500 nodes, 5% churn, single backup replica (k = 1)";
     s.node_count = 500;
     s.trace_seed = 700;
-    s.churn = true;
-    s.backup_replicas = 1;
+    s.config.churn_enabled = true;
+    s.config.backup_replicas = 1;
     add(s);
   }
 
   return m;
 }
 
-/// The fig7/8/9/11 sweep grids as named family members, derived from a
-/// neutral base via ScenarioOverrides. Trace seeds reproduce the grids
-/// the benches used to build inline (300/400/500/600 + n [+ m]), so
-/// folding the benches onto the families changed no workload.
+/// The fig7/8/9/11 sweep grids as named family members: copies of a
+/// paper-default base with the swept fields set. Trace seeds reproduce
+/// the grids the benches used to build inline (300/400/500/600 + n
+/// [+ m]), so folding the benches onto the families changed no workload.
 [[nodiscard]] std::vector<Scenario> build_families() {
   std::vector<Scenario> families;
   Scenario base;  // paper-standard defaults
+  // A copy of `base` renamed and resized onto its own trace.
+  const auto member = [&base](std::string name, std::size_t n,
+                              std::uint64_t trace_seed) {
+    Scenario s = base;
+    s.name = std::move(name);
+    s.node_count = n;
+    s.trace_seed = trace_seed;
+    return s;
+  };
 
   const std::vector<std::size_t> sizes = {100, 500, 1000, 2000, 4000, 8000};
 
   base.description = "fig7 family: static continuity vs overlay size";
   for (const std::size_t n : sizes) {
-    ScenarioOverrides o;
-    o.node_count = n;
-    o.trace_seed = 300 + n;
-    families.push_back(base.with(o, "fig7_static_" + std::to_string(n)));
+    families.push_back(member("fig7_static_" + std::to_string(n), n, 300 + n));
   }
 
   base.description = "fig8 family: dynamic continuity vs overlay size (5% churn)";
   for (const std::size_t n : sizes) {
-    ScenarioOverrides o;
-    o.node_count = n;
-    o.churn = true;
-    o.trace_seed = 400 + n;
-    families.push_back(base.with(o, "fig8_dynamic_" + std::to_string(n)));
+    Scenario s = member("fig8_dynamic_" + std::to_string(n), n, 400 + n);
+    s.config.churn_enabled = true;
+    families.push_back(std::move(s));
   }
 
   base.description = "fig9 family: control overhead vs overlay size, M in {4,5,6}";
   for (const std::size_t n : {std::size_t{100}, std::size_t{500}, std::size_t{1000},
                               std::size_t{2000}, std::size_t{4000}}) {
     for (const std::size_t m : {std::size_t{4}, std::size_t{5}, std::size_t{6}}) {
-      ScenarioOverrides o;
-      o.node_count = n;
-      o.connected_neighbors = m;
-      o.trace_seed = 500 + n + m;
-      families.push_back(base.with(
-          o, "fig9_m" + std::to_string(m) + "_" + std::to_string(n)));
+      Scenario s = member("fig9_m" + std::to_string(m) + "_" + std::to_string(n), n,
+                          500 + n + m);
+      s.config.connected_neighbors = m;
+      families.push_back(std::move(s));
     }
   }
 
   base.description = "fig11 family: pre-fetch overhead vs overlay size";
   for (const std::size_t n : sizes) {
-    ScenarioOverrides o;
-    o.node_count = n;
-    o.trace_seed = 600 + n;
-    families.push_back(base.with(o, "fig11_static_" + std::to_string(n)));
-    o.churn = true;
-    families.push_back(base.with(o, "fig11_dynamic_" + std::to_string(n)));
+    families.push_back(member("fig11_static_" + std::to_string(n), n, 600 + n));
+    Scenario dynamic = member("fig11_dynamic_" + std::to_string(n), n, 600 + n);
+    dynamic.config.churn_enabled = true;
+    families.push_back(std::move(dynamic));
   }
 
   // --- quantized-network family -------------------------------------------
@@ -258,12 +218,11 @@ namespace {
       const std::string prefix = "q" + std::to_string(static_cast<int>(grid)) + "_";
       for (const char* name :
            {"static_small", "static_1k", "dynamic_1k", "static_8k", "thin_replicas"}) {
-        Scenario b = matrix_base(name);
-        ScenarioOverrides o;
-        o.latency_grid_ms = grid;
-        Scenario s = b.with(o, prefix + b.name);
-        s.description = b.description + " [quantized " +
-                        std::to_string(static_cast<int>(grid)) + " ms latency grid]";
+        Scenario s = matrix_base(name);
+        s.name = prefix + s.name;
+        s.description += " [quantized " + std::to_string(static_cast<int>(grid)) +
+                         " ms latency grid]";
+        s.config.latency_grid_ms = grid;
         families.push_back(std::move(s));
       }
     }
@@ -280,13 +239,12 @@ namespace {
                              const char* base_name, const std::string& prefix,
                              const fault::FaultPlan& plan, const char* what,
                              double grid_ms = 0.0) {
-      Scenario b = matrix_base(base_name);
-      ScenarioOverrides o;
-      o.fault = plan;
-      o.harden = true;
-      if (grid_ms > 0.0) o.latency_grid_ms = grid_ms;
-      Scenario s = b.with(o, prefix + b.name);
-      s.description = b.description + " [" + what + "]";
+      Scenario s = matrix_base(base_name);
+      s.name = prefix + s.name;
+      s.description += std::string(" [") + what + "]";
+      s.config.fault = plan;
+      s.config.retry.enabled = true;
+      s.config.latency_grid_ms = grid_ms;
       families.push_back(std::move(s));
     };
 

@@ -22,87 +22,32 @@ struct Scenario {
   std::string name;
   std::string description;
 
-  // --- workload shape ----------------------------------------------------
+  /// Overlay size of the generated trace.
   std::size_t node_count = 1000;
-  core::SchedulerKind scheduler = core::SchedulerKind::kContinuStreaming;
-  bool churn = false;
-  double churn_fraction = 0.05;     ///< leave AND join fraction per period
-  double graceful_fraction = 0.5;   ///< of departures, when churning
-
-  // --- DHT / pre-fetch knobs ("alpha settings") ---------------------------
-  unsigned backup_replicas = 4;
-  unsigned prefetch_limit = 5;
-  std::size_t connected_neighbors = 5;
-  bool heterogeneous_bandwidth = true;
-
-  // --- stream -------------------------------------------------------------
-  /// Playback rate p in segments/second (the paper's 300 Kbps stream).
-  std::uint64_t playback_rate = 10;
-
-  // --- network ------------------------------------------------------------
-  /// Latency quantization grid in ms (0 = continuous pairwise model).
-  /// Positive values select the quantized network mode: delivery
-  /// instants snap UP to the grid and co-instant deliveries dispatch as
-  /// receiver-sharded batches.
-  double latency_grid_ms = 0.0;
-
-  // --- faults / hardening --------------------------------------------------
-  /// Deterministic fault schedule (link loss, crash events, partitions,
-  /// latency spikes). Inert by default: no injector is installed and
-  /// the run is bit-identical to a fault-free build.
-  fault::FaultPlan fault{};
-  /// Retry/backoff + supplier-blacklist hardening. The f*_ families
-  /// switch it on; everything else runs the untouched hot path.
-  bool harden = false;
-
-  // --- trace --------------------------------------------------------------
   std::uint64_t trace_seed = 1;
-  double average_degree = 2.5;
+
+  /// Every protocol, churn, network and fault setting of the workload,
+  /// paper defaults unless the scenario says otherwise. make_config()
+  /// only stamps the replication's seed onto it.
+  core::SystemConfig config{};
 
   // --- horizons ------------------------------------------------------------
   double duration = 45.0;
   double stable_from = 20.0;
 
-  /// SystemConfig for this workload at the given simulation seed.
+  /// `config` at the given simulation seed.
   [[nodiscard]] core::SystemConfig make_config(std::uint64_t seed) const;
 
   /// Trace generator configuration (deterministic in trace_seed).
   [[nodiscard]] trace::GeneratorConfig make_trace() const;
-
-  /// Derived scenario: this one with `overrides` applied and renamed.
-  /// The building block of parameterized scenario families.
-  [[nodiscard]] Scenario with(const struct ScenarioOverrides& overrides,
-                              std::string derived_name) const;
-};
-
-/// Field-level override set for deriving a family member from a base
-/// scenario: every field that the figure sweeps vary (node count, churn
-/// rate, stream rate, fan-out, trace seed, ...). Unset fields keep the
-/// base value.
-struct ScenarioOverrides {
-  std::optional<std::size_t> node_count;
-  std::optional<bool> churn;
-  std::optional<double> churn_fraction;
-  std::optional<double> graceful_fraction;
-  std::optional<std::uint64_t> playback_rate;  ///< stream rate
-  std::optional<std::size_t> connected_neighbors;
-  std::optional<unsigned> backup_replicas;
-  std::optional<unsigned> prefetch_limit;
-  std::optional<core::SchedulerKind> scheduler;
-  std::optional<double> latency_grid_ms;  ///< network quantization grid
-  std::optional<fault::FaultPlan> fault;  ///< deterministic fault schedule
-  std::optional<bool> harden;             ///< retry/backoff + blacklist
-  std::optional<std::uint64_t> trace_seed;
-  std::optional<double> duration;
-  std::optional<double> stable_from;
 };
 
 /// The canonical scenario matrix. Stable names; append-only across PRs.
 [[nodiscard]] const std::vector<Scenario>& scenario_matrix();
 
 /// Parameterized scenario FAMILIES: the fig7/8/9/11 sweep grids as
-/// named scenarios ("fig7_static_2000", "fig9_m5_500", ...), derived
-/// from matrix bases via ScenarioOverrides. Kept separate from the
+/// named scenarios ("fig7_static_2000", "fig9_m5_500", ...), each a
+/// copy of a base scenario with the swept fields set. Kept separate from the
 /// matrix so full-matrix sweeps (the fingerprint oracle, smoke tests)
 /// stay bounded; find_scenario() resolves both.
 [[nodiscard]] const std::vector<Scenario>& scenario_families();

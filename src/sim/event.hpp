@@ -2,12 +2,15 @@
 // Event record and allocation-free action callable for the
 // discrete-event engine.
 //
-// EventAction is a move-only, small-buffer-optimized replacement for
-// std::function<void()>: captures up to kInlineCapacity bytes live
-// inside the action itself (and therefore inside the queue's slot
-// pool), so scheduling an event performs zero heap allocations for
-// every capture size the protocol layers actually use. Oversized
-// captures fall back to a single heap cell.
+// InlineAction<void(Args...)> is a move-only, small-buffer-optimized
+// replacement for std::function: captures up to kInlineCapacity bytes
+// live inside the action itself (and therefore inside the queue's slot
+// pool or a bucket's hand-off entry), so scheduling an event or
+// buffering a sharded delivery performs zero heap allocations for every
+// capture size the protocol layers actually use. Oversized captures
+// fall back to a single heap cell. EventAction is its void()
+// instantiation; net::DeliveryAction (delivery.hpp) is its
+// void(DeliveryContext&) one.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +35,13 @@ using EventId = std::uint64_t;
 /// Sequences start at 1, so no valid id is ever 0.
 inline constexpr EventId kInvalidEvent = 0;
 
-class EventAction {
+/// The small-buffer callable described above; only the void(Args...)
+/// form is defined.
+template <typename Sig>
+class InlineAction;
+
+template <typename... Args>
+class InlineAction<void(Args...)> {
  public:
   /// Sized for the largest capture the protocol layers schedule (the
   /// DHT routing hop: 48 bytes + the network delivery wrapper's 16).
@@ -40,29 +49,29 @@ class EventAction {
   /// footprint is what bounds large-session cache behaviour.
   static constexpr std::size_t kInlineCapacity = 64;
 
-  EventAction() noexcept = default;
+  InlineAction() noexcept = default;
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventAction> &&
-                std::is_invocable_v<std::decay_t<F>&>>>
+                !std::is_same_v<std::decay_t<F>, InlineAction> &&
+                std::is_invocable_v<std::decay_t<F>&, Args...>>>
   // NOLINTNEXTLINE(google-explicit-constructor): implicit by design,
-  // mirroring std::function at the scheduling call sites.
-  EventAction(F&& f) {
+  // mirroring std::function at the scheduling and send call sites.
+  InlineAction(F&& f) {
     emplace(std::forward<F>(f));
   }
 
-  EventAction(EventAction&& other) noexcept { move_from(other); }
-  EventAction& operator=(EventAction&& other) noexcept {
+  InlineAction(InlineAction&& other) noexcept { move_from(other); }
+  InlineAction& operator=(InlineAction&& other) noexcept {
     if (this != &other) {
       reset();
       move_from(other);
     }
     return *this;
   }
-  EventAction(const EventAction&) = delete;
-  EventAction& operator=(const EventAction&) = delete;
-  ~EventAction() { reset(); }
+  InlineAction(const InlineAction&) = delete;
+  InlineAction& operator=(const InlineAction&) = delete;
+  ~InlineAction() { reset(); }
 
   /// Destroys the held callable, leaving the action empty.
   void reset() noexcept {
@@ -73,13 +82,13 @@ class EventAction {
   }
 
   /// Constructs a callable in place (destroying any current one)
-  /// without routing through a temporary EventAction — the zero-move
-  /// path the queue's slot pool uses.
+  /// without routing through a temporary action — the zero-move path
+  /// the queue's slot pool uses.
   template <typename F>
   void emplace(F&& f) {
     using D = std::decay_t<F>;
     reset();
-    if constexpr (std::is_same_v<D, std::function<void()>>) {
+    if constexpr (std::is_same_v<D, std::function<void(Args...)>>) {
       if (!f) return;
     }
     if constexpr (fits_inline<D>()) {
@@ -94,15 +103,16 @@ class EventAction {
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
   /// Invokes the held callable. Requires non-empty.
-  void operator()() { ops_->invoke(buf_); }
+  void operator()(Args... args) { ops_->invoke(buf_, std::forward<Args>(args)...); }
 
   /// Invokes the held callable once and destroys it (one indirect call
   /// instead of invoke + destroy), leaving the action empty. The hot
-  /// path of the simulator's run loop. Requires non-empty.
-  void consume() {
+  /// path of the simulator's run loop and of bucket dispatch. Requires
+  /// non-empty.
+  void consume(Args... args) {
     const Ops* ops = ops_;
     ops_ = nullptr;
-    ops->consume(buf_);
+    ops->consume(buf_, std::forward<Args>(args)...);
   }
 
   /// True when the callable lives in the inline buffer (introspection
@@ -113,9 +123,9 @@ class EventAction {
 
  private:
   struct Ops {
-    void (*invoke)(void* storage);
+    void (*invoke)(void* storage, Args... args);
     /// Invoke once, then destroy (fused fire-and-free).
-    void (*consume)(void* storage);
+    void (*consume)(void* storage, Args... args);
     /// Move-constructs into dst from src's storage, destroying src.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* storage) noexcept;
@@ -135,8 +145,10 @@ class EventAction {
   template <typename D>
   struct OpsFor<D, true> {
     static D* self(void* p) noexcept { return std::launder(reinterpret_cast<D*>(p)); }
-    static void invoke(void* p) { (*self(p))(); }
-    static void consume(void* p) {
+    static void invoke(void* p, Args... args) {
+      (*self(p))(std::forward<Args>(args)...);
+    }
+    static void consume(void* p, Args... args) {
       D* s = self(p);
       // Guard, not a trailing dtor call: the capture must be destroyed
       // even when the invocation throws.
@@ -144,7 +156,7 @@ class EventAction {
         D* d;
         ~Guard() { d->~D(); }
       } guard{s};
-      (*s)();
+      (*s)(std::forward<Args>(args)...);
     }
     static void relocate(void* dst, void* src) noexcept {
       D* s = self(src);
@@ -160,13 +172,15 @@ class EventAction {
     static D* held(void* p) noexcept {
       return *std::launder(reinterpret_cast<D**>(p));
     }
-    static void invoke(void* p) { (*held(p))(); }
-    static void consume(void* p) {
+    static void invoke(void* p, Args... args) {
+      (*held(p))(std::forward<Args>(args)...);
+    }
+    static void consume(void* p, Args... args) {
       struct Guard {
         D* h;
         ~Guard() { delete h; }
       } guard{held(p)};
-      (*guard.h)();
+      (*guard.h)(std::forward<Args>(args)...);
     }
     static void relocate(void* dst, void* src) noexcept {
       std::memcpy(dst, src, sizeof(D*));
@@ -175,7 +189,7 @@ class EventAction {
     static constexpr Ops ops = {&invoke, &consume, &relocate, &destroy, false};
   };
 
-  void move_from(EventAction& other) noexcept {
+  void move_from(InlineAction& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       ops_->relocate(buf_, other.buf_);
@@ -186,6 +200,9 @@ class EventAction {
   alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
   const Ops* ops_ = nullptr;
 };
+
+/// The event queue's payload: a scheduled void() action.
+using EventAction = InlineAction<void()>;
 
 /// A popped event: fire order is (time, id) — earlier time first, FIFO
 /// (schedule order) among equal times, so runs are bit-for-bit

@@ -652,56 +652,43 @@ TEST(RunnerThreads, ThreadsOverrideDoesNotChangeResults) {
 // Scenario parameterization
 // ---------------------------------------------------------------------------
 
-TEST(ScenarioFamilies, OverridesApply) {
-  const auto base = runner::find_scenario("static_1k");
-  ASSERT_TRUE(base.has_value());
-  runner::ScenarioOverrides o;
-  o.node_count = 777;
-  o.churn_fraction = 0.10;
-  o.playback_rate = 20;  // stream rate
-  o.trace_seed = 9;
-  const auto derived = base->with(o, "derived");
-  EXPECT_EQ(derived.name, "derived");
-  EXPECT_EQ(derived.node_count, 777u);
-  EXPECT_TRUE(derived.churn);  // a positive rate implies the toggle
-  EXPECT_DOUBLE_EQ(derived.churn_fraction, 0.10);
-  EXPECT_EQ(derived.playback_rate, 20u);
-  EXPECT_EQ(derived.trace_seed, 9u);
-  // Untouched fields keep base values.
-  EXPECT_EQ(derived.connected_neighbors, base->connected_neighbors);
-
-  const auto config = derived.make_config(3);
-  EXPECT_EQ(config.playback_rate, 20u);
-  EXPECT_TRUE(config.churn_enabled);
-  EXPECT_DOUBLE_EQ(config.churn.leave_fraction, 0.10);
-  EXPECT_EQ(derived.make_trace().node_count, 777u);
-}
-
 TEST(ScenarioFamilies, FigGridsAreNamedScenarios) {
   // The fig7/8/9/11 sweep grids resolve by name with the workloads the
   // benches used to build inline.
   const auto fig7 = runner::find_scenario("fig7_static_2000");
   ASSERT_TRUE(fig7.has_value());
   EXPECT_EQ(fig7->node_count, 2000u);
-  EXPECT_FALSE(fig7->churn);
+  EXPECT_FALSE(fig7->config.churn_enabled);
   EXPECT_EQ(fig7->trace_seed, 2300u);  // 300 + n
 
   const auto fig8 = runner::find_scenario("fig8_dynamic_500");
   ASSERT_TRUE(fig8.has_value());
-  EXPECT_TRUE(fig8->churn);
+  EXPECT_TRUE(fig8->config.churn_enabled);
   EXPECT_EQ(fig8->trace_seed, 900u);  // 400 + n
 
   const auto fig9 = runner::find_scenario("fig9_m6_1000");
   ASSERT_TRUE(fig9.has_value());
-  EXPECT_EQ(fig9->connected_neighbors, 6u);
+  EXPECT_EQ(fig9->config.connected_neighbors, 6u);
   EXPECT_EQ(fig9->trace_seed, 1506u);  // 500 + n + m
 
   const auto fig11 = runner::find_scenario("fig11_dynamic_4000");
   ASSERT_TRUE(fig11.has_value());
-  EXPECT_TRUE(fig11->churn);
+  EXPECT_TRUE(fig11->config.churn_enabled);
   EXPECT_EQ(fig11->trace_seed, 4600u);  // 600 + n
 
   EXPECT_FALSE(runner::find_scenario("fig7_static_123").has_value());
+
+  // A family member is a copy of its base with only the swept fields
+  // set: q1_thin_replicas keeps thin_replicas' k = 1, churn and trace.
+  const auto thin = runner::find_scenario("thin_replicas");
+  const auto q1_thin = runner::find_scenario("q1_thin_replicas");
+  ASSERT_TRUE(thin.has_value());
+  ASSERT_TRUE(q1_thin.has_value());
+  EXPECT_DOUBLE_EQ(q1_thin->config.latency_grid_ms, 1.0);
+  EXPECT_EQ(q1_thin->config.backup_replicas, 1u);
+  EXPECT_TRUE(q1_thin->config.churn_enabled);
+  EXPECT_EQ(q1_thin->node_count, thin->node_count);
+  EXPECT_EQ(q1_thin->trace_seed, thin->trace_seed);
 
   // The core matrix keeps its names (append-only: static_100k joined
   // in PR 4), still resolvable, and family names do not shadow them.
@@ -719,11 +706,11 @@ TEST(ScenarioFamilies, FaultFamiliesAndGroupsResolve) {
   ASSERT_TRUE(f5.has_value());
   EXPECT_EQ(f5->node_count, base->node_count);
   EXPECT_EQ(f5->trace_seed, base->trace_seed);
-  EXPECT_TRUE(f5->harden);
-  EXPECT_TRUE(f5->fault.active());
-  EXPECT_DOUBLE_EQ(f5->fault.loss_rate, 0.05);
-  ASSERT_EQ(f5->fault.crashes.size(), 1u);
-  EXPECT_DOUBLE_EQ(f5->fault.crashes[0].fraction, 0.10);
+  EXPECT_TRUE(f5->config.retry.enabled);
+  EXPECT_TRUE(f5->config.fault.active());
+  EXPECT_DOUBLE_EQ(f5->config.fault.loss_rate, 0.05);
+  ASSERT_EQ(f5->config.fault.crashes.size(), 1u);
+  EXPECT_DOUBLE_EQ(f5->config.fault.crashes[0].fraction, 0.10);
 
   const auto config = f5->make_config(7);
   EXPECT_TRUE(config.retry.enabled);
@@ -732,20 +719,20 @@ TEST(ScenarioFamilies, FaultFamiliesAndGroupsResolve) {
   // The quantized variant carries the same plan over the grid mode.
   const auto f5q = runner::find_scenario("f5_q1_static_1k");
   ASSERT_TRUE(f5q.has_value());
-  EXPECT_DOUBLE_EQ(f5q->latency_grid_ms, 1.0);
-  EXPECT_TRUE(f5q->fault.active());
+  EXPECT_DOUBLE_EQ(f5q->config.latency_grid_ms, 1.0);
+  EXPECT_TRUE(f5q->config.fault.active());
 
   const auto fp = runner::find_scenario("fp_static_small");
   ASSERT_TRUE(fp.has_value());
-  ASSERT_EQ(fp->fault.partitions.size(), 1u);
-  EXPECT_DOUBLE_EQ(fp->fault.partitions[0].heal, 30.0);
-  EXPECT_DOUBLE_EQ(fp->fault.loss_rate, 0.0);
+  ASSERT_EQ(fp->config.fault.partitions.size(), 1u);
+  EXPECT_DOUBLE_EQ(fp->config.fault.partitions[0].heal, 30.0);
+  EXPECT_DOUBLE_EQ(fp->config.fault.loss_rate, 0.0);
 
   // Matrix scenarios stay fault-free: the zero-fault hot path is the
   // default everywhere outside the f*_ families.
   for (const auto& s : runner::scenario_matrix()) {
-    EXPECT_FALSE(s.fault.active()) << s.name;
-    EXPECT_FALSE(s.harden) << s.name;
+    EXPECT_FALSE(s.config.fault.active()) << s.name;
+    EXPECT_FALSE(s.config.retry.enabled) << s.name;
   }
 
   // Prefix groups cover every family member exactly once, first

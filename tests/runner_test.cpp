@@ -250,6 +250,16 @@ TEST(ScenarioMatrix, ConfigReflectsScenario) {
   const auto cool = *find_scenario("cool_static_1k");
   EXPECT_EQ(cool.make_config(1).scheduler, core::SchedulerKind::kCoolStreaming);
   EXPECT_FALSE(cool.make_config(1).churn_enabled);
+
+  // make_config copies the scenario's config and stamps only the seed;
+  // make_trace carries the overlay size and the trace seed.
+  const auto thin = *find_scenario("thin_replicas");
+  const auto thin_config = thin.make_config(5);
+  EXPECT_EQ(thin_config.seed, 5u);
+  EXPECT_EQ(thin_config.backup_replicas, 1u);
+  EXPECT_TRUE(thin_config.churn_enabled);
+  EXPECT_EQ(thin.make_trace().node_count, 500u);
+  EXPECT_EQ(thin.make_trace().seed, thin.trace_seed);
 }
 
 TEST(ScenarioMatrix, SelectorExpandsExactNamesAndFamilyPrefixes) {

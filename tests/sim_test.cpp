@@ -1,6 +1,6 @@
-// Unit tests for the discrete-event engine: slot-pool event queue,
-// inline event actions, simulator semantics, periodic processes and
-// the batched RoundScheduler.
+// Unit tests for the discrete-event engine: slot-pool event queue, the
+// inline action (as event and as delivery handler), simulator
+// semantics, periodic processes and the batched RoundScheduler.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +9,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "net/delivery.hpp"
+#include "net/latency_model.hpp"
+#include "net/network.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/round_scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -20,66 +24,136 @@
 namespace continu::sim {
 namespace {
 
-TEST(EventAction, InlineForSmallCaptures) {
+// The small-buffer action is one template with two instantiations:
+// EventAction (void(), the queue's payload) and net::DeliveryAction
+// (void(DeliveryContext&), a buffered sharded delivery). Every case
+// runs against both; the test callables are generic lambdas that
+// ignore their arguments, so one body serves either signature.
+struct EventActionCase {
+  using Action = EventAction;
+  using Function = std::function<void()>;
+  static void call(Action& a) { a(); }
+  static void consume(Action& a) { a.consume(); }
+};
+
+struct DeliveryActionCase {
+  using Action = net::DeliveryAction;
+  using Function = std::function<void(net::DeliveryContext&)>;
+  // A DeliveryContext exists only inside a delivery: post a local
+  // continuation on a continuous-mode network and call from there.
+  template <typename Body>
+  static void with_context(Body body) {
+    Simulator sim;
+    net::Network network(sim, net::LatencyModel({10.0, 11.0}));
+    network.post_sharded(0, 0.0, [&body](net::DeliveryContext& ctx) { body(ctx); });
+    sim.run_all();
+  }
+  static void call(Action& a) {
+    with_context([&a](net::DeliveryContext& ctx) { a(ctx); });
+  }
+  static void consume(Action& a) {
+    with_context([&a](net::DeliveryContext& ctx) { a.consume(ctx); });
+  }
+};
+
+template <typename Case>
+class InlineActionTest : public ::testing::Test {};
+using ActionCases = ::testing::Types<EventActionCase, DeliveryActionCase>;
+TYPED_TEST_SUITE(InlineActionTest, ActionCases);
+
+TYPED_TEST(InlineActionTest, InlineForSmallCaptures) {
+  using Action = typename TypeParam::Action;
   int hits = 0;
   // 48-byte payload + pointer capture: the size of the largest
   // protocol capture (DHT route hop + delivery wrapper). Must never
   // allocate.
   std::array<std::uint64_t, 6> payload{};
-  EventAction small([&hits] { ++hits; });
-  EventAction big([&hits, payload] { hits += static_cast<int>(payload[0]) + 1; });
+  Action small([&hits](auto&...) { ++hits; });
+  Action big([&hits, payload](auto&...) { hits += static_cast<int>(payload[0]) + 1; });
   EXPECT_TRUE(small.stored_inline());
   EXPECT_TRUE(big.stored_inline());
-  small();
-  big();
+  TypeParam::call(small);
+  TypeParam::call(big);
   EXPECT_EQ(hits, 2);
 }
 
-TEST(EventAction, HeapFallbackForOversizedCaptures) {
+TYPED_TEST(InlineActionTest, HeapFallbackForOversizedCaptures) {
+  using Action = typename TypeParam::Action;
   int hits = 0;
   std::array<std::uint64_t, 32> payload{};  // 256 bytes: exceeds inline
   payload[31] = 41;
-  EventAction action([&hits, payload] { hits = static_cast<int>(payload[31]) + 1; });
+  Action action([&hits, payload](auto&...) { hits = static_cast<int>(payload[31]) + 1; });
   EXPECT_TRUE(static_cast<bool>(action));
   EXPECT_FALSE(action.stored_inline());
-  action();
+  TypeParam::call(action);
   EXPECT_EQ(hits, 42);
 }
 
-TEST(EventAction, MoveTransfersOwnership) {
+TYPED_TEST(InlineActionTest, MoveTransfersOwnership) {
+  using Action = typename TypeParam::Action;
   std::vector<int> order;
-  EventAction a([&order] { order.push_back(1); });
-  EventAction b(std::move(a));
+  Action a([&order](auto&...) { order.push_back(1); });
+  Action b(std::move(a));
   EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
   ASSERT_TRUE(static_cast<bool>(b));
-  b();
-  b();  // repeat invocation is allowed
+  TypeParam::call(b);
+  TypeParam::call(b);  // repeat invocation is allowed
   EXPECT_EQ(order, (std::vector<int>{1, 1}));
 
-  EventAction c;
+  Action c;
   c = std::move(b);
   ASSERT_TRUE(static_cast<bool>(c));
-  c();
+  TypeParam::call(c);
   EXPECT_EQ(order.size(), 3u);
 }
 
-TEST(EventAction, NonTrivialCapturesDestructRight) {
+TYPED_TEST(InlineActionTest, NonTrivialCapturesDestructRight) {
+  using Action = typename TypeParam::Action;
   auto counter = std::make_shared<int>(0);
   {
-    EventAction action([counter] { ++*counter; });
+    Action action([counter](auto&...) { ++*counter; });
     EXPECT_EQ(counter.use_count(), 2);
-    action();
-    EventAction moved(std::move(action));
+    TypeParam::call(action);
+    Action moved(std::move(action));
     EXPECT_EQ(counter.use_count(), 2);
-    moved();
+    TypeParam::call(moved);
   }
   EXPECT_EQ(counter.use_count(), 1);
   EXPECT_EQ(*counter, 2);
 }
 
-TEST(EventAction, EmptyStdFunctionStaysEmpty) {
-  EventAction action{std::function<void()>{}};
+TYPED_TEST(InlineActionTest, EmptyStdFunctionStaysEmpty) {
+  using Action = typename TypeParam::Action;
+  Action action{typename TypeParam::Function{}};
   EXPECT_FALSE(static_cast<bool>(action));
+}
+
+TYPED_TEST(InlineActionTest, ConsumeRunsOnceAndDestroysEvenOnThrow) {
+  using Action = typename TypeParam::Action;
+  auto counter = std::make_shared<int>(0);
+  std::array<std::uint64_t, 32> payload{};  // heap-stored variant
+  Action small([counter](auto&...) { ++*counter; });
+  Action big([counter, payload](auto&...) { *counter += 1 + static_cast<int>(payload[0]); });
+  ASSERT_TRUE(small.stored_inline());
+  ASSERT_FALSE(big.stored_inline());
+  EXPECT_EQ(counter.use_count(), 3);
+  TypeParam::consume(small);
+  TypeParam::consume(big);
+  EXPECT_FALSE(static_cast<bool>(small));
+  EXPECT_FALSE(static_cast<bool>(big));
+  EXPECT_EQ(*counter, 2);
+  EXPECT_EQ(counter.use_count(), 1);
+
+  // A throwing call still releases the capture.
+  Action throwing([counter](auto&...) {
+    ++*counter;
+    throw std::runtime_error("boom");
+  });
+  EXPECT_EQ(counter.use_count(), 2);
+  EXPECT_THROW(TypeParam::consume(throwing), std::runtime_error);
+  EXPECT_FALSE(static_cast<bool>(throwing));
+  EXPECT_EQ(*counter, 3);
+  EXPECT_EQ(counter.use_count(), 1);
 }
 
 TEST(EventQueue, PopsInTimeOrder) {

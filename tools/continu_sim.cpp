@@ -80,12 +80,13 @@ void print_usage(const char* argv0) {
       "  --scenario NAME    use a named scenario from the shared matrix\n"
       "  --list-scenarios   print the scenario matrix and exit\n"
       "  --duration SEC     virtual seconds to simulate (default 45)\n"
-      "  --stable-from SEC  start of the stable measurement window (default 20)\n"
+      "  --stable-from SEC  start of the stable measurement window, before\n"
+      "                     --duration (default 20)\n"
       "  --system NAME      continu | cool | gridmedia (default continu)\n"
       "  --churn F          per-round leave AND join fraction in [0, 1]\n"
       "                     (default 0 = static)\n"
       "  --neighbors M      connected-neighbor target (default 5)\n"
-      "  --replicas K       DHT backups per segment (default 4)\n"
+      "  --replicas K       DHT backups per segment, K >= 1 (default 4)\n"
       "  --prefetch-limit L max pre-fetches per invocation (default 5)\n"
       "  --homogeneous      give every node the mean bandwidth\n"
       "  --seed S           simulation seed (default 42)\n"
@@ -198,7 +199,7 @@ void print_usage(const char* argv0) {
         return std::nullopt;
       }
     } else if (arg == "--replicas") {
-      if (!numeric(cli::parse_uint_u32, "an integer >= 0", opt.replicas)) {
+      if (!numeric(cli::parse_positive_u32, "a positive integer", opt.replicas)) {
         return std::nullopt;
       }
     } else if (arg == "--prefetch-limit") {
@@ -313,6 +314,15 @@ void reject_scenario_conflicts(const CliOptions& opt) {
     std::exit(1);
   }
 
+  // An empty stable window would report continuity 0 as if measured.
+  if (opt.stable_from >= opt.duration) {
+    std::fprintf(stderr,
+                 "--stable-from (%g s) must be less than --duration (%g s): the "
+                 "stable measurement window would be empty\n",
+                 opt.stable_from, opt.duration);
+    std::exit(1);
+  }
+
   runner::ReplicationSpec spec;
   spec.config = config;
   if (!opt.trace_path.empty()) {
@@ -346,7 +356,7 @@ int main(int argc, char** argv) {
     std::printf("%-20s %-6s %-6s %s\n", "name", "nodes", "churn", "description");
     for (const auto& s : runner::scenario_matrix()) {
       std::printf("%-20s %-6zu %-6s %s\n", s.name.c_str(), s.node_count,
-                  s.churn ? "yes" : "no", s.description.c_str());
+                  s.config.churn_enabled ? "yes" : "no", s.description.c_str());
     }
     std::printf("\nparameterized families (grouped by name prefix):\n");
     for (const auto& group : runner::scenario_family_groups()) {
@@ -355,7 +365,7 @@ int main(int argc, char** argv) {
       for (const auto& name : group.members) {
         const auto s = runner::find_scenario(name);
         std::printf("    %-22s %-6zu %-6s %s\n", name.c_str(),
-                    s ? s->node_count : 0, (s && s->churn) ? "yes" : "no",
+                    s ? s->node_count : 0, (s && s->config.churn_enabled) ? "yes" : "no",
                     s ? s->description.c_str() : "");
       }
     }

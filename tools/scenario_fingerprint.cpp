@@ -24,7 +24,8 @@
 //
 // --only accepts exact scenario names AND family prefixes: "--only
 // q1_" expands to every q1_* scenario (matrix + families, registry
-// order). A selector matching nothing is still a hard error.
+// order). A selector matching nothing is still a hard error, and so is
+// a list with no names at all ("--only ,").
 //
 //   scenario_fingerprint [--seed S] [--only NAME[,NAME...]] [--threads N]
 //                        [--include-large] [--obs] [--quiet]
@@ -76,6 +77,7 @@ int main(int argc, char** argv) {
       util::set_log_level(util::LogLevel::kError);
     } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
       std::string list = argv[++i];
+      const std::size_t named_before = only.size();
       std::size_t pos = 0;
       while (pos != std::string::npos) {
         const std::size_t comma = list.find(',', pos);
@@ -83,6 +85,13 @@ int main(int argc, char** argv) {
             list.substr(pos, comma == std::string::npos ? comma : comma - pos);
         if (!name.empty()) only.push_back(std::move(name));
         pos = comma == std::string::npos ? comma : comma + 1;
+      }
+      // "--only ," names nothing; falling back to the default sweep
+      // would run scenarios nobody asked for.
+      if (only.size() == named_before) {
+        std::fprintf(stderr, "--only expects at least one scenario name, got '%s'\n",
+                     list.c_str());
+        return 1;
       }
     } else {
       std::fprintf(stderr,
