@@ -96,7 +96,7 @@ struct SystemConfig {
 
   // --- observability -------------------------------------------------------
   /// Deterministic observability layer (src/obs/): phase profiler,
-  /// structured trace export, counter registry. All off by default;
+  /// structured trace export, counter snapshot. All off by default;
   /// enabling any pillar never moves a result fingerprint (obs writes
   /// only to obs-owned state — CI diffs fingerprints obs-on vs
   /// obs-off to enforce it).

@@ -1,13 +1,11 @@
 #include "core/session.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "analysis/continuity_model.hpp"
 #include "core/buffer_map.hpp"
 #include "net/message.hpp"
-#include "obs/counters.hpp"
 #include "obs/phase_profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_sink.hpp"
@@ -17,35 +15,7 @@
 namespace continu::core {
 
 SessionStats& operator+=(SessionStats& lhs, const SessionStats& rhs) noexcept {
-  lhs.segments_emitted += rhs.segments_emitted;
-  lhs.segments_delivered += rhs.segments_delivered;
-  lhs.duplicate_deliveries += rhs.duplicate_deliveries;
-  lhs.requests_sent += rhs.requests_sent;
-  lhs.segments_booked += rhs.segments_booked;
-  lhs.segments_refused += rhs.segments_refused;
-  lhs.candidates_seen += rhs.candidates_seen;
-  lhs.candidates_unassigned += rhs.candidates_unassigned;
-  lhs.prefetch_launched += rhs.prefetch_launched;
-  lhs.prefetch_succeeded += rhs.prefetch_succeeded;
-  lhs.prefetch_no_replica += rhs.prefetch_no_replica;
-  lhs.prefetch_suppressed += rhs.prefetch_suppressed;
-  lhs.segments_pushed += rhs.segments_pushed;
-  lhs.dht_route_messages += rhs.dht_route_messages;
-  lhs.dht_route_failures += rhs.dht_route_failures;
-  lhs.joins += rhs.joins;
-  lhs.graceful_leaves += rhs.graceful_leaves;
-  lhs.abrupt_leaves += rhs.abrupt_leaves;
-  lhs.neighbor_replacements += rhs.neighbor_replacements;
-  lhs.transfer_timeouts += rhs.transfer_timeouts;
-  lhs.mixed_batch_fallbacks += rhs.mixed_batch_fallbacks;
-  lhs.deliveries_dropped += rhs.deliveries_dropped;
-  lhs.deliveries_lost += rhs.deliveries_lost;
-  lhs.deliveries_partitioned += rhs.deliveries_partitioned;
-  lhs.fault_crashes += rhs.fault_crashes;
-  lhs.retry_backoffs += rhs.retry_backoffs;
-  lhs.suppliers_blacklisted += rhs.suppliers_blacklisted;
-  lhs.stall_episodes += rhs.stall_episodes;
-  lhs.stall_rounds += rhs.stall_rounds;
+  for (const auto& field : kSessionStatsFields) lhs.*field.member += rhs.*field.member;
   return lhs;
 }
 
@@ -186,15 +156,6 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
   if (config_.obs.trace) {
     trace_ = std::make_unique<obs::TraceSink>(obs::kTraceCapacity, config_.obs.trace_node);
     if (profiler_ != nullptr) profiler_->set_span_sink(trace_.get());
-  }
-  if (config_.obs.counters) {
-    obs_counters_ = std::make_unique<obs::CounterRegistry>();
-    ctr_prepare_nodes_ = obs_counters_->declare("round.prepare_nodes");
-    ctr_plan_nodes_ = obs_counters_->declare("round.plan_nodes");
-    ctr_pull_requests_ = obs_counters_->declare("delivery.pull_requests");
-    ctr_segments_delivered_ = obs_counters_->declare("delivery.segments");
-    ctr_stall_transitions_ = obs_counters_->declare("sample.stall_transitions");
-    obs_counters_->ensure_shards(1);
   }
   network_.set_observability(profiler_.get(), trace_.get());
   build_nodes(snapshot);
@@ -427,9 +388,6 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
                        round_prepare_local(users[i], shard_stats_[s],
                                            prepare_shards_[s], s);
                      }
-                     if (obs_counters_ != nullptr) {
-                       obs_counters_->add(s, ctr_prepare_nodes_, end - begin);
-                     }
                    });
   // Join — settle in shard order: stats deltas, then each shard's
   // deferred rate decays / playback starts / wire charges.
@@ -456,9 +414,6 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
                      for (std::size_t i = begin; i < end; ++i) {
                        round_plan(users[i], plans_[i], shard_stats_[s],
                                   shard_emissions_[s]);
-                     }
-                     if (obs_counters_ != nullptr) {
-                       obs_counters_->add(s, ctr_plan_nodes_, end - begin);
                      }
                    });
 
@@ -824,32 +779,19 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
   //
   // This path runs once per (node, neighbor) pair per period — at 100k
   // nodes it is the densest loop in the session — so it runs inside
-  // the FORKED prepare-local phase, allocation-free at steady state.
-  // Own-state writes only: the materialized window comes from the
-  // shard's arena, the piggyback writes this node's own overheard
-  // list, and the wire costs are tallied into `shard` (the emission
-  // side, bulk-charged serially at the join). The peer's neighbor
-  // vector is read in place under the batch-frozen-membership
-  // contract: repair runs in prepare-link, and the only concurrent
-  // writes to those entries (a shard folding the PEER's supply rates)
-  // touch the float rate fields, never the ids the piggyback reads.
+  // the FORKED prepare-local phase. Own-state writes only: the
+  // piggyback writes this node's own overheard list, and the wire
+  // costs are tallied into `shard` (the emission side, bulk-charged
+  // serially at the join). The peer's neighbor vector is read in
+  // place under the batch-frozen-membership contract: repair runs in
+  // prepare-link, and the only concurrent writes to those entries (a
+  // shard folding the PEER's supply rates) touch the float rate
+  // fields, never the ids the piggyback reads.
   const SimTime now = sim_.now();
   for (const auto& neighbor : node.neighbors().all()) {
     const auto idx = alive_node_by_id(neighbor.id);
     if (!idx.has_value()) continue;
     ++shard.buffer_map_messages;
-    // Receive side: materialize the advertised window as a real peer's
-    // map table would. The snapshot is deliberately TRANSIENT — the
-    // planner keeps reading live buffers (the fresh-map equivalence
-    // above), so retaining it would only duplicate state; what this
-    // models and measures is the exchange's memory traffic, which the
-    // pooled arena keeps allocation-free at steady state (a session
-    // test pins that). Cost: one ~10-word copy per exchange.
-    {
-      const auto received = shard.arena.checkout_copy(node.buffer().window());
-      assert(received.window().count() == node.buffer().window().count());
-      (void)received;
-    }
     // Membership piggyback: each exchange also carries a couple of
     // peer-table entries (the membership gossip of Ganesh et al. that
     // CoolStreaming builds on). This keeps the Overheard list fresh so
@@ -1044,11 +986,8 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
   if (!sup.alive()) return;
   auto& stats = *static_cast<SessionStats*>(ctx.scratch());
   const SimTime now = sim_.now();
-  // Obs-owned writes only (counter lane + trace ring of this shard);
+  // Obs-owned writes only (the trace ring of this shard);
   // ctx.shard() is 0 on the serial/immediate path.
-  if (obs_counters_ != nullptr) {
-    obs_counters_->add(ctx.shard(), ctr_pull_requests_, 1);
-  }
   if (trace_ != nullptr) {
     obs::TraceEvent event;
     event.time = now;
@@ -1224,9 +1163,6 @@ void Session::deliver_segment(std::size_t receiver, SegmentId id, TransferKind k
   const bool fresh = node.buffer().insert(id);
   ++stats.segments_delivered;
   if (!fresh) ++stats.duplicate_deliveries;
-  if (obs_counters_ != nullptr) {
-    obs_counters_->add(ctx.shard(), ctr_segments_delivered_, 1);
-  }
   if (trace_ != nullptr) {
     obs::TraceEvent event;
     event.time = now;
@@ -1805,9 +1741,6 @@ void Session::on_sample_tick() {
                                event.node = static_cast<std::uint32_t>(i);
                                trace_->record(s, event);
                              }
-                             if (obs_counters_ != nullptr) {
-                               obs_counters_->add(s, ctr_stall_transitions_, 1);
-                             }
                            }
                          } else if (rs.played > 0) {
                            if (node.in_stall()) {
@@ -1817,9 +1750,6 @@ void Session::on_sample_tick() {
                                event.kind = obs::TraceEventKind::kStallEnd;
                                event.node = static_cast<std::uint32_t>(i);
                                trace_->record(s, event);
-                             }
-                             if (obs_counters_ != nullptr) {
-                               obs_counters_->add(s, ctr_stall_transitions_, 1);
                              }
                            }
                            node.set_in_stall(false);
@@ -1879,15 +1809,6 @@ void Session::on_sample_tick() {
 // Memory footprint (sizing toward the 100k-node goal)
 // --------------------------------------------------------------------------
 
-util::BitWindowArena::Stats Session::window_arena_stats() const noexcept {
-  util::BitWindowArena::Stats total;
-  for (const auto& shard : prepare_shards_) {
-    total.checkouts += shard.arena.stats().checkouts;
-    total.allocations += shard.arena.stats().allocations;
-  }
-  return total;
-}
-
 MemoryFootprint Session::memory_footprint() const {
   MemoryFootprint fp;
   fp.nodes = nodes_.size();
@@ -1918,13 +1839,10 @@ MemoryFootprint Session::memory_footprint() const {
 
 void Session::obs_ensure_shards(std::size_t shards) {
   if (trace_ != nullptr) trace_->ensure_shards(shards);
-  if (obs_counters_ != nullptr) obs_counters_->ensure_shards(shards);
 }
 
-std::shared_ptr<const obs::ObsReport> Session::obs_report() {
-  if (profiler_ == nullptr && trace_ == nullptr && obs_counters_ == nullptr) {
-    return nullptr;
-  }
+std::shared_ptr<const obs::ObsReport> Session::obs_report() const {
+  if (!config_.obs.any()) return nullptr;
   auto report = std::make_shared<obs::ObsReport>();
   if (profiler_ != nullptr) {
     report->profile = true;
@@ -1939,50 +1857,17 @@ std::shared_ptr<const obs::ObsReport> Session::obs_report() {
     report->trace_recorded = trace_->recorded();
     report->trace_overwritten = trace_->overwritten();
   }
-  if (obs_counters_ != nullptr) {
+  if (config_.obs.counters) {
+    // The counter snapshot: the session, engine and network totals,
+    // read once after the run in a fixed order.
     report->counters = true;
-    obs_counters_->settle();
-    const auto& names = obs_counters_->names();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      report->counter_values.emplace_back(
-          names[i], obs_counters_->value(static_cast<std::uint32_t>(i)));
-    }
-    // Snapshot-time mirrors: one registry dump carries what previously
-    // lived scattered across SessionStats getters, the engine counters
-    // and the bench JSON — the unified stats path.
     const SessionStats& s = stats();
-    const auto put = [&report](const char* name, std::uint64_t value) {
-      report->counter_values.emplace_back(name, value);
+    const auto put = [&report](std::string name, std::uint64_t value) {
+      report->counter_values.emplace_back(std::move(name), value);
     };
-    put("session.segments_emitted", s.segments_emitted);
-    put("session.segments_delivered", s.segments_delivered);
-    put("session.duplicate_deliveries", s.duplicate_deliveries);
-    put("session.requests_sent", s.requests_sent);
-    put("session.segments_booked", s.segments_booked);
-    put("session.segments_refused", s.segments_refused);
-    put("session.candidates_seen", s.candidates_seen);
-    put("session.candidates_unassigned", s.candidates_unassigned);
-    put("session.prefetch_launched", s.prefetch_launched);
-    put("session.prefetch_succeeded", s.prefetch_succeeded);
-    put("session.prefetch_no_replica", s.prefetch_no_replica);
-    put("session.prefetch_suppressed", s.prefetch_suppressed);
-    put("session.segments_pushed", s.segments_pushed);
-    put("session.dht_route_messages", s.dht_route_messages);
-    put("session.dht_route_failures", s.dht_route_failures);
-    put("session.joins", s.joins);
-    put("session.graceful_leaves", s.graceful_leaves);
-    put("session.abrupt_leaves", s.abrupt_leaves);
-    put("session.neighbor_replacements", s.neighbor_replacements);
-    put("session.transfer_timeouts", s.transfer_timeouts);
-    put("session.mixed_batch_fallbacks", s.mixed_batch_fallbacks);
-    put("session.deliveries_dropped", s.deliveries_dropped);
-    put("session.deliveries_lost", s.deliveries_lost);
-    put("session.deliveries_partitioned", s.deliveries_partitioned);
-    put("session.fault_crashes", s.fault_crashes);
-    put("session.retry_backoffs", s.retry_backoffs);
-    put("session.suppliers_blacklisted", s.suppliers_blacklisted);
-    put("session.stall_episodes", s.stall_episodes);
-    put("session.stall_rounds", s.stall_rounds);
+    for (const auto& field : kSessionStatsFields) {
+      put(std::string("session.") + field.name, s.*field.member);
+    }
     put("session.alive_at_end", alive_count());
     // No engine.threads mirror: the counter snapshot is defined to be
     // thread-count invariant (the obs tests diff it at widths 1..8);

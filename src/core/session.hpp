@@ -13,6 +13,8 @@
 //   * churn (graceful handover / abrupt failure / RP-bootstrapped join),
 //   * metrics (per-round playback continuity, overhead tracks).
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -33,12 +35,10 @@
 #include "sim/round_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
-#include "util/bitwindow_arena.hpp"
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace continu::obs {
-class CounterRegistry;
 class PhaseProfiler;
 class TraceSink;
 struct ObsReport;
@@ -105,6 +105,52 @@ struct SessionStats {
   /// periods).
   std::uint64_t stall_rounds = 0;
 };
+
+/// One row per SessionStats field, in declaration order. The single
+/// field list behind operator+= (shard-delta and replication merges),
+/// the obs snapshot's `session.<name>` mirrors and scenario_fingerprint's
+/// `<short_name>=` printout; the static_assert below and a session test
+/// keep it complete and in order.
+struct SessionStatsField {
+  const char* name;
+  const char* short_name;
+  std::uint64_t SessionStats::*member;
+};
+
+inline constexpr std::array<SessionStatsField, 29> kSessionStatsFields{{
+    {"segments_emitted", "emitted", &SessionStats::segments_emitted},
+    {"segments_delivered", "delivered", &SessionStats::segments_delivered},
+    {"duplicate_deliveries", "dup", &SessionStats::duplicate_deliveries},
+    {"requests_sent", "req", &SessionStats::requests_sent},
+    {"segments_booked", "booked", &SessionStats::segments_booked},
+    {"segments_refused", "refused", &SessionStats::segments_refused},
+    {"candidates_seen", "cand", &SessionStats::candidates_seen},
+    {"candidates_unassigned", "unassigned", &SessionStats::candidates_unassigned},
+    {"prefetch_launched", "pf_launch", &SessionStats::prefetch_launched},
+    {"prefetch_succeeded", "pf_ok", &SessionStats::prefetch_succeeded},
+    {"prefetch_no_replica", "pf_norep", &SessionStats::prefetch_no_replica},
+    {"prefetch_suppressed", "pf_supp", &SessionStats::prefetch_suppressed},
+    {"segments_pushed", "pushed", &SessionStats::segments_pushed},
+    {"dht_route_messages", "dht_msg", &SessionStats::dht_route_messages},
+    {"dht_route_failures", "dht_fail", &SessionStats::dht_route_failures},
+    {"joins", "joins", &SessionStats::joins},
+    {"graceful_leaves", "leave_g", &SessionStats::graceful_leaves},
+    {"abrupt_leaves", "leave_a", &SessionStats::abrupt_leaves},
+    {"neighbor_replacements", "repl", &SessionStats::neighbor_replacements},
+    {"transfer_timeouts", "timeouts", &SessionStats::transfer_timeouts},
+    {"mixed_batch_fallbacks", "mixedfb", &SessionStats::mixed_batch_fallbacks},
+    {"deliveries_dropped", "dropped", &SessionStats::deliveries_dropped},
+    {"deliveries_lost", "lost", &SessionStats::deliveries_lost},
+    {"deliveries_partitioned", "part", &SessionStats::deliveries_partitioned},
+    {"fault_crashes", "crash", &SessionStats::fault_crashes},
+    {"retry_backoffs", "retrybo", &SessionStats::retry_backoffs},
+    {"suppliers_blacklisted", "blkl", &SessionStats::suppliers_blacklisted},
+    {"stall_episodes", "stallep", &SessionStats::stall_episodes},
+    {"stall_rounds", "stallrd", &SessionStats::stall_rounds},
+}};
+static_assert(sizeof(SessionStats) ==
+                  kSessionStatsFields.size() * sizeof(std::uint64_t),
+              "every SessionStats field needs a kSessionStatsFields row");
 
 /// Element-wise sum — merging counters across experiment replications
 /// (and, inside a session, merging per-shard stats deltas in shard
@@ -180,16 +226,10 @@ class Session {
   [[nodiscard]] MemoryFootprint memory_footprint() const;
   /// Resolved intra-session worker thread count.
   [[nodiscard]] unsigned threads() const noexcept { return exec_.threads(); }
-  /// Aggregate stats of the per-shard pooled-window arenas backing
-  /// buffer-map materialization (the forked prepare-local phase gives
-  /// each shard its own arena); lets tests assert the exchange path
-  /// stops allocating at steady state at every thread count.
-  [[nodiscard]] util::BitWindowArena::Stats window_arena_stats() const noexcept;
   /// Materializes the observability snapshot (profiler totals, drained
-  /// trace, settled counters plus session/engine/network mirrors).
+  /// trace, and the session/engine/network counter snapshot).
   /// Returns nullptr when SystemConfig::obs left every pillar off.
-  /// Settling drains the counter lanes, so call once, after run().
-  [[nodiscard]] std::shared_ptr<const obs::ObsReport> obs_report();
+  [[nodiscard]] std::shared_ptr<const obs::ObsReport> obs_report() const;
 
   // --- introspection -----------------------------------------------------
   [[nodiscard]] const SystemConfig& config() const noexcept { return config_; }
@@ -293,9 +333,6 @@ class Session {
     /// the join (bit-identical to per-message charging).
     std::uint64_t buffer_map_messages = 0;
     std::uint64_t membership_messages = 0;
-    /// Pooled windows for this shard's buffer-map materializations
-    /// (arenas are per shard so checkouts never contend or race).
-    util::BitWindowArena arena;
     void reset() noexcept {
       rate_decays.clear();
       playback_starts.clear();
@@ -322,8 +359,7 @@ class Session {
   /// when the node should start playback this round. The start itself
   /// is applied at the join.
   [[nodiscard]] std::optional<SegmentId> plan_playback_start(const Node& node) const;
-  /// Forked receive half of the per-round buffer-map exchange:
-  /// window materialization from the shard arena plus the membership
+  /// Forked half of the per-round buffer-map exchange: the membership
   /// piggyback (own-state writes only); wire costs are tallied into
   /// `shard` and charged at the join.
   void exchange_buffer_maps(Node& node, util::Rng& tick_rng, PrepareShard& shard);
@@ -396,9 +432,8 @@ class Session {
   void on_sample_tick();
 
   // --- observability -------------------------------------------------------
-  /// Serially grows the obs layer's per-shard structures (trace rings,
-  /// counter lanes) before a fork whose workers will record. No-op
-  /// when the corresponding pillar is off.
+  /// Serially grows the trace sink's per-shard rings before a fork
+  /// whose workers will record. No-op when tracing is off.
   void obs_ensure_shards(std::size_t shards);
 
   // --- helpers -----------------------------------------------------------
@@ -446,8 +481,8 @@ class Session {
   /// Fork/join scratch, reused across batches. plans_ is indexed by
   /// batch position (each shard writes a disjoint range); the shard-
   /// indexed buffers merge in shard order after the join. The prepare
-  /// shards persist across batches so their arena pools stay warm
-  /// (steady state allocates nothing).
+  /// shards persist across batches so their record vectors keep their
+  /// capacity.
   std::vector<RoundPlan> plans_;
   std::vector<SessionStats> shard_stats_;
   std::vector<sim::parallel::EmissionBuffer> shard_emissions_;
@@ -465,14 +500,6 @@ class Session {
   /// scenario fingerprints obs-on vs obs-off at threads 1 and 4.
   std::unique_ptr<obs::PhaseProfiler> profiler_;
   std::unique_ptr<obs::TraceSink> trace_;
-  std::unique_ptr<obs::CounterRegistry> obs_counters_;
-  /// Registry ids for the session's per-shard counters (valid only
-  /// when obs_counters_ is set).
-  std::uint32_t ctr_prepare_nodes_ = 0;
-  std::uint32_t ctr_plan_nodes_ = 0;
-  std::uint32_t ctr_pull_requests_ = 0;
-  std::uint32_t ctr_segments_delivered_ = 0;
-  std::uint32_t ctr_stall_transitions_ = 0;
 
   SegmentId emitted_ = 0;
   /// Mutable: stats() lazily mirrors Network::dropped() (see stats()).

@@ -3,7 +3,7 @@
 // Everything defaults OFF: a default-constructed config adds nothing to
 // the hot paths beyond null-pointer checks, and enabling any pillar is
 // guaranteed not to move a result fingerprint — observability writes
-// only to obs-owned state (profiler slots, trace rings, counter lanes),
+// only to obs-owned state (profiler slots, trace rings),
 // never to RNG streams, node state or the event queue. CI enforces the
 // guarantee by diffing scenario fingerprints obs-on vs obs-off.
 
@@ -27,8 +27,8 @@ struct ObsConfig {
   /// Structured trace: per-shard ring buffers of sim-time protocol
   /// events and wall-time phase spans, exportable as Chrome trace JSON.
   bool trace = false;
-  /// Counter registry: per-shard counters settled in shard order,
-  /// dumped as a JSON snapshot.
+  /// Counter snapshot: the session, engine and network totals read once
+  /// after the run (ObsReport::counter_values), dumped as JSON.
   bool counters = false;
   /// Per-node timeline filter: record only trace events whose node (or
   /// peer) session index matches. kTraceAllNodes = record everything.

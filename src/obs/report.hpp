@@ -24,8 +24,8 @@ struct ObsReport {
   std::vector<PhaseSpan> spans;    ///< drained, oldest-first
   std::uint64_t trace_recorded = 0;
   std::uint64_t trace_overwritten = 0;
-  /// Settled registry counters followed by snapshot-time mirrors of the
-  /// session/engine/network totals, in a deterministic order.
+  /// Snapshot of the session/engine/network totals (session.*,
+  /// engine.*, net.*), taken after the run in a fixed order.
   std::vector<std::pair<std::string, std::uint64_t>> counter_values;
 };
 

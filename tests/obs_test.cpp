@@ -1,8 +1,9 @@
 // Unit + integration tests for the deterministic observability layer:
 // profiler accumulation against hand-computed values, ring wraparound,
-// steady-state no-allocation witnesses, counter shard-order
-// determinism across thread counts, fingerprint identity obs-on vs
-// obs-off, and parse-back of both JSON exports.
+// steady-state no-allocation witnesses, the counter snapshot against
+// the session's own totals, determinism across thread counts,
+// fingerprint identity obs-on vs obs-off, and parse-back of both JSON
+// exports.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +15,12 @@
 #include <string>
 #include <vector>
 
-#include "obs/counters.hpp"
+#include "core/session.hpp"
 #include "obs/phase_profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_sink.hpp"
 #include "runner/experiment_runner.hpp"
+#include "trace/generator.hpp"
 
 namespace continu::obs {
 namespace {
@@ -172,42 +174,6 @@ TEST(TraceSink, NodeFilterMatchesEitherEndpoint) {
 }
 
 // ---------------------------------------------------------------------------
-// Counter registry
-
-TEST(CounterRegistry, SettleFoldsLanesInShardOrderAndZeroesThem) {
-  CounterRegistry reg;
-  const auto a = reg.declare("a");
-  const auto b = reg.declare("b");
-  reg.ensure_shards(4);
-  reg.add(0, a, 1);
-  reg.add(3, a, 10);
-  reg.add(1, b, 5);
-  reg.add(2, b, 7);
-  reg.settle();
-  EXPECT_EQ(reg.value(a), 11u);
-  EXPECT_EQ(reg.value(b), 12u);
-  reg.settle();  // lanes were zeroed: totals must not move
-  EXPECT_EQ(reg.value(a), 11u);
-  EXPECT_EQ(reg.value(b), 12u);
-  EXPECT_EQ(reg.names(), (std::vector<std::string>{"a", "b"}));
-}
-
-TEST(CounterRegistry, LaneStorageStableAcrossGrowthAndSettle) {
-  CounterRegistry reg;
-  const auto id = reg.declare("x");
-  reg.ensure_shards(2);
-  const void* lane0 = reg.lane_address(0);
-  reg.ensure_shards(8);  // growth must not move existing lanes
-  EXPECT_EQ(reg.lane_address(0), lane0);
-  for (int i = 0; i < 100; ++i) {
-    reg.add(0, id, 1);
-    reg.settle();
-  }
-  EXPECT_EQ(reg.lane_address(0), lane0);
-  EXPECT_EQ(reg.value(id), 100u);
-}
-
-// ---------------------------------------------------------------------------
 // Session-level determinism and export parse-back
 
 runner::ReplicationSpec small_quantized_spec(bool obs_on, unsigned threads) {
@@ -259,8 +225,8 @@ TEST(ObsSession, FingerprintIdenticalObsOnVsObsOffAcrossThreads) {
         << "obs-on perturbed the engine at threads=" << threads;
     ASSERT_TRUE(on.obs);
 
-    // Counter snapshot (settled in shard order) and the drained trace
-    // must themselves be deterministic across thread counts.
+    // The counter snapshot and the drained trace must themselves be
+    // deterministic across thread counts.
     if (!first_obs) {
       first_obs = on.obs;
     } else {
@@ -274,6 +240,40 @@ TEST(ObsSession, FingerprintIdenticalObsOnVsObsOffAcrossThreads) {
   ASSERT_TRUE(first_obs);
   EXPECT_FALSE(first_obs->events.empty());
   EXPECT_FALSE(first_obs->counter_values.empty());
+}
+
+TEST(ObsSession, CounterSnapshotMirrorsSessionAndEngineTotals) {
+  const auto spec = small_quantized_spec(true, 2);
+  const auto snapshot = trace::generate_snapshot(spec.trace);
+  core::Session session(spec.config, snapshot);
+  session.run(spec.duration);
+  const auto report = session.obs_report();
+  ASSERT_TRUE(report);
+  ASSERT_TRUE(report->counters);
+
+  // The snapshot opens with one session.* entry per SessionStats field,
+  // in declaration order, each equal to the session's own total.
+  const auto& values = report->counter_values;
+  const core::SessionStats& stats = session.stats();
+  ASSERT_GT(values.size(), core::kSessionStatsFields.size());
+  for (std::size_t i = 0; i < core::kSessionStatsFields.size(); ++i) {
+    const auto& field = core::kSessionStatsFields[i];
+    EXPECT_EQ(values[i].first, std::string("session.") + field.name);
+    EXPECT_EQ(values[i].second, stats.*field.member) << values[i].first;
+  }
+  EXPECT_GT(stats.segments_delivered, 0u) << "run delivered nothing";
+
+  const auto value_of = [&values](const std::string& name) {
+    for (const auto& [key, value] : values) {
+      if (key == name) return value;
+    }
+    ADD_FAILURE() << "missing counter " << name;
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(value_of("session.segments_delivered"), stats.segments_delivered);
+  EXPECT_EQ(value_of("session.stall_rounds"), stats.stall_rounds);
+  EXPECT_EQ(value_of("session.alive_at_end"), session.alive_count());
+  EXPECT_EQ(value_of("engine.events_executed"), session.simulator().executed());
 }
 
 // Minimal strict JSON syntax checker (objects/arrays/strings/numbers/
@@ -400,7 +400,7 @@ TEST(ObsExport, ChromeTraceAndStatsJsonParseBack) {
   EXPECT_TRUE(JsonChecker(stats_text).parse()) << "stats JSON does not parse";
   EXPECT_NE(stats_text.find("\"counters\""), std::string::npos);
   EXPECT_NE(stats_text.find("\"serial_fraction\""), std::string::npos);
-  EXPECT_NE(stats_text.find("\"round.prepare_nodes\""), std::string::npos);
+  EXPECT_NE(stats_text.find("\"session.segments_delivered\""), std::string::npos);
 
   std::filesystem::remove(trace_path);
   std::filesystem::remove(stats_path);

@@ -556,39 +556,6 @@ TEST(PrepareSplit, DeferredRateDecayLeavesIdenticalEstimatesAtAnyThreadCount) {
   }
 }
 
-TEST(PrepareSplit, WindowMaterializationStaysAllocationFreeWhenForked) {
-  // The buffer-map materialization moved into the forked prepare-local
-  // phase with per-shard arenas: after warm-up, tens of thousands of
-  // further checkouts must allocate NOTHING at thread counts above 1,
-  // and the aggregate checkout tally must match serial execution
-  // (arena traffic is part of the determinism contract).
-  trace::GeneratorConfig tc;
-  tc.node_count = 200;
-  tc.seed = 55;
-  const auto snapshot = trace::generate_snapshot(tc);
-
-  core::SystemConfig config;
-  config.seed = 26;
-  config.threads = 4;
-  core::Session session(config, snapshot);
-  session.run(10.0);  // warm-up: shard pools fill, buffers saturate
-
-  const auto warm = session.window_arena_stats();
-  EXPECT_GT(warm.checkouts, 0u);
-
-  session.run(35.0);  // steady state
-  const auto steady = session.window_arena_stats();
-  EXPECT_GT(steady.checkouts, warm.checkouts + 10000u)
-      << "exchange stopped running — the assertion below would be vacuous";
-  EXPECT_EQ(steady.allocations, warm.allocations)
-      << "forked buffer-map materialization allocated at steady state";
-
-  config.threads = 1;
-  core::Session serial(config, snapshot);
-  serial.run(35.0);
-  EXPECT_EQ(serial.window_arena_stats().checkouts, steady.checkouts);
-}
-
 TEST(PrepareSplit, MixedBatchFallbacksStayZeroAcrossMatrix) {
   // Reserved ticks (sampler, churn) ride phases of their own, so no
   // batch should ever mix them with node rounds. A phase-layout change

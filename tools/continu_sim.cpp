@@ -265,6 +265,12 @@ void print_usage(const char* argv0) {
       return std::nullopt;
     }
   }
+  if (opt.trace_node >= 0 && opt.trace_out.empty()) {
+    std::fprintf(stderr,
+                 "--trace-node filters the --trace-out export; it needs "
+                 "--trace-out FILE\n");
+    return std::nullopt;
+  }
   return opt;
 }
 
@@ -394,6 +400,17 @@ int main(int argc, char** argv) {
   }
   const std::size_t nodes =
       spec.snapshot ? spec.snapshot->node_count() : spec.trace.node_count;
+  // A node filter that matches nothing would export an empty timeline
+  // as if the node were idle. Churn joiners append session indices, so
+  // the range is only known up front for a run without churn.
+  if (opt.trace_node >= 0 && !spec.config.churn_enabled &&
+      static_cast<std::size_t>(opt.trace_node) >= nodes) {
+    std::fprintf(stderr,
+                 "--trace-node %lld is out of range: the run has %zu nodes "
+                 "(indices 0..%zu)\n",
+                 opt.trace_node, nodes, nodes - 1);
+    return 1;
+  }
 
   // Observability is per-session opt-in and guaranteed side-effect-free
   // (obs-owned state only), so enabling it here cannot change any metric.

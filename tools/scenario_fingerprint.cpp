@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "core/session.hpp"
 #include "metrics/collector.hpp"
 #include "runner/cli.hpp"
 #include "runner/experiment_runner.hpp"
@@ -152,29 +153,14 @@ int main(int argc, char** argv) {
     }
     const auto run = runner::ExperimentRunner::run_one(spec);
     const auto& s = run.stats;
-    std::printf(
-        "%s seed=%" PRIu64
-        " emitted=%" PRIu64 " delivered=%" PRIu64 " dup=%" PRIu64 " req=%" PRIu64
-        " booked=%" PRIu64 " refused=%" PRIu64 " cand=%" PRIu64 " unassigned=%" PRIu64
-        " pf_launch=%" PRIu64 " pf_ok=%" PRIu64 " pf_norep=%" PRIu64 " pf_supp=%" PRIu64
-        " pushed=%" PRIu64 " dht_msg=%" PRIu64 " dht_fail=%" PRIu64
-        " joins=%" PRIu64 " leave_g=%" PRIu64 " leave_a=%" PRIu64
-        " repl=%" PRIu64 " timeouts=%" PRIu64 " mixedfb=%" PRIu64 " dropped=%" PRIu64
-        " lost=%" PRIu64 " part=%" PRIu64 " crash=%" PRIu64
-        " retrybo=%" PRIu64 " blkl=%" PRIu64 " stallep=%" PRIu64 " stallrd=%" PRIu64
-        " continuity=%.17g index=%.17g ctrl=%.17g pf_oh=%.17g alive=%zu hash=%016" PRIx64
-        "\n",
-        scenario.name.c_str(), seed, s.segments_emitted, s.segments_delivered,
-        s.duplicate_deliveries, s.requests_sent, s.segments_booked, s.segments_refused,
-        s.candidates_seen, s.candidates_unassigned, s.prefetch_launched,
-        s.prefetch_succeeded, s.prefetch_no_replica, s.prefetch_suppressed,
-        s.segments_pushed, s.dht_route_messages, s.dht_route_failures, s.joins,
-        s.graceful_leaves, s.abrupt_leaves, s.neighbor_replacements, s.transfer_timeouts,
-        s.mixed_batch_fallbacks, s.deliveries_dropped,
-        s.deliveries_lost, s.deliveries_partitioned, s.fault_crashes,
-        s.retry_backoffs, s.suppliers_blacklisted, s.stall_episodes, s.stall_rounds,
-        run.stable_continuity, run.continuity_index, run.control_overhead,
-        run.prefetch_overhead, run.alive_at_end, runner::result_fingerprint(run));
+    std::printf("%s seed=%" PRIu64, scenario.name.c_str(), seed);
+    for (const auto& field : core::kSessionStatsFields) {
+      std::printf(" %s=%" PRIu64, field.short_name, s.*field.member);
+    }
+    std::printf(" continuity=%.17g index=%.17g ctrl=%.17g pf_oh=%.17g alive=%zu"
+                " hash=%016" PRIx64 "\n",
+                run.stable_continuity, run.continuity_index, run.control_overhead,
+                run.prefetch_overhead, run.alive_at_end, runner::result_fingerprint(run));
     std::fflush(stdout);
   }
   return 0;
