@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md calls out:
+// Ablation benches for the model's design choices:
 //   (a) backup replication factor k in {1, 2, 4, 6};
 //   (b) per-invocation pre-fetch cap l in {0, 2, 5, 10};
 //   (c) graceful vs abrupt departures under churn;

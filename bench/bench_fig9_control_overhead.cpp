@@ -9,6 +9,7 @@
 
 #include "analysis/coverage.hpp"
 #include "bench_common.hpp"
+#include "core/params.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -40,7 +41,7 @@ int main() {
     std::vector<std::string> models;
     for (const std::size_t m : fanouts) {
       const double model = analysis::control_overhead_model(
-          static_cast<unsigned>(m), specs[next].config.playback_rate);
+          static_cast<unsigned>(m), core::kPlaybackRate);
       const auto& run = results[next++];
       row.push_back(util::Table::num(run.control_overhead, 5));
       models.push_back(util::Table::num(model, 5));

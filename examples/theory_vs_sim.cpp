@@ -8,6 +8,7 @@
 #include "analysis/continuity_model.hpp"
 #include "analysis/coverage.hpp"
 #include "core/config.hpp"
+#include "core/params.hpp"
 #include "core/session.hpp"
 #include "trace/generator.hpp"
 
@@ -49,7 +50,7 @@ int main() {
   cool_session.run(45.0);
 
   analysis::ContinuityInputs in;
-  in.lambda = config.mean_inbound();
+  in.lambda = core::kMeanInbound;
   const auto predicted = analysis::predict_continuity(in);
 
   std::printf("  theory  (lambda = %.1f): PC_old %.3f, PC_new %.3f\n", in.lambda,

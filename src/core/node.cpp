@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 
+#include "core/params.hpp"
+
 namespace continu::core {
 
 Node::Node(NodeId id, std::size_t session_index, const SystemConfig& config,
@@ -14,16 +16,16 @@ Node::Node(NodeId id, std::size_t session_index, const SystemConfig& config,
       ping_ms_(ping_ms),
       inbound_rate_(inbound_rate),
       outbound_rate_(outbound_rate),
-      buffer_(config.buffer_capacity, config.playback_rate, config.stall_patience),
+      buffer_(kBufferCapacity, kPlaybackRate, kStallPatience),
       // Partnerships are bidirectional TCP connections over the overlay's
       // undirected edges: a node initiates M but also accepts incoming
       // links, so the set is sized with headroom (degree ~ M on average,
       // bounded by 2M).
       neighbors_(2 * config.connected_neighbors),
       dht_peers_(space, id),
-      overheard_(config.overheard_capacity),
+      overheard_(kOverheardCapacity),
       backup_(space, id, config.backup_replicas),
-      rates_(/*initial_rate=*/static_cast<double>(config.playback_rate)),
+      rates_(/*initial_rate=*/static_cast<double>(kPlaybackRate)),
       urgent_line_(urgent) {}
 
 double Node::available_sending_rate(SimTime now) const noexcept {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/params.hpp"
+
 namespace continu::core {
 
 namespace {
@@ -22,7 +24,7 @@ double expected_slack(const Candidate& candidate, const PriorityInputs& in) {
   const double r = best_rate(candidate);
   if (r <= 0.0) return -1.0;
   const double distance =
-      static_cast<double>(candidate.id - in.play_point) / static_cast<double>(in.playback_rate);
+      static_cast<double>(candidate.id - in.play_point) / static_cast<double>(kPlaybackRate);
   return distance - 1.0 / r;
 }
 
@@ -33,23 +35,20 @@ double urgency(const Candidate& candidate, const PriorityInputs& in, double max_
   return std::min(1.0 / t, max_urgency);
 }
 
-double rarity(const Candidate& candidate, const PriorityInputs& in) {
+double rarity(const Candidate& candidate) {
   if (candidate.offers.empty()) {
     throw std::invalid_argument("rarity: candidate without suppliers");
   }
-  if (in.buffer_capacity == 0) {
-    throw std::invalid_argument("rarity: zero buffer capacity");
-  }
   double product = 1.0;
   for (const auto& offer : candidate.offers) {
-    const auto pos = std::clamp<std::size_t>(offer.buffer_position, 1, in.buffer_capacity);
-    product *= static_cast<double>(pos) / static_cast<double>(in.buffer_capacity);
+    const auto pos = std::clamp<std::size_t>(offer.buffer_position, 1, kBufferCapacity);
+    product *= static_cast<double>(pos) / static_cast<double>(kBufferCapacity);
   }
   return product;
 }
 
 double priority(const Candidate& candidate, const PriorityInputs& in) {
-  double score = std::max(urgency(candidate, in), rarity(candidate, in));
+  double score = std::max(urgency(candidate, in), rarity(candidate));
   if (in.rarest_weight > 0.0) {
     score = std::max(score, in.rarest_weight * rarest_first_score(candidate));
   }

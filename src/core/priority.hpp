@@ -12,8 +12,9 @@
 // are close to eviction, so the product is the probability the segment
 // is about to vanish from every supplier.
 //
-// The CoolStreaming baseline replaces all of this with the traditional
-// rarest-first score 1/n_i.
+// p and B are the constants of core/params.hpp. The CoolStreaming
+// baseline replaces all of this with the traditional rarest-first
+// score 1/n_i.
 
 #include <vector>
 
@@ -42,17 +43,12 @@ struct PriorityInputs {
   /// playback has not started — urgency is then defined as zero and
   /// rarity alone drives the ordering.
   SegmentId play_point = kInvalidSegment;
-  /// Playback rate p (segments/s).
-  std::uint64_t playback_rate = 10;
-  /// Buffer capacity B.
-  std::size_t buffer_capacity = 600;
   /// Weight of the classic rarest-first component (w/n_i) in the
   /// composite priority. Equation 3's urgency/rarity terms protect
   /// deadline-critical and dying segments but rank every fresh segment
   /// last, which starves the dissemination pipeline the paper takes for
   /// granted; the rarest-first term keeps few-holder (i.e. freshly
-  /// emitted) segments flowing. 0 reproduces eq. 3 literally (see the
-  /// ablation bench).
+  /// emitted) segments flowing. 0 reproduces eq. 3 literally.
   double rarest_weight = 0.9;
 };
 
@@ -65,8 +61,8 @@ struct PriorityInputs {
 [[nodiscard]] double urgency(const Candidate& candidate, const PriorityInputs& in,
                              double max_urgency = 100.0);
 
-/// rarity_i (eq. 2).
-[[nodiscard]] double rarity(const Candidate& candidate, const PriorityInputs& in);
+/// rarity_i (eq. 2), over the constant buffer capacity B.
+[[nodiscard]] double rarity(const Candidate& candidate);
 
 /// Composite priority: max(urgency_i, rarity_i, w/n_i) — eq. 3
 /// extended with the rarest-first pipeline term (see PriorityInputs).

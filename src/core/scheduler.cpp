@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/params.hpp"
 #include "util/flat_map.hpp"
 #include "util/hash.hpp"
 
@@ -48,7 +49,7 @@ struct Ranked {
       const double queued = queue_time[offer.supplier];
       const double total = t_trans + queued;
       // Line 7: must beat the best so far AND finish within the period.
-      if (total < t_min && total < request.period) {
+      if (total < t_min && total < kSchedulingPeriod) {
         t_min = total;
         chosen = offer.supplier;
       }

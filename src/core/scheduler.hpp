@@ -8,7 +8,7 @@
 // parallel machine scheduling — so, as in the paper, a greedy pass
 // assigns high-priority segments first, tracking a per-supplier queue
 // time tau(j) and refusing assignments that cannot complete within the
-// scheduling period.
+// scheduling period tau (kSchedulingPeriod, core/params.hpp).
 
 #include <vector>
 
@@ -21,8 +21,6 @@ struct ScheduleRequest {
   /// Candidate segments (each with its supplier offers).
   std::vector<Candidate> candidates;
   PriorityInputs priority_inputs;
-  /// Scheduling period tau (seconds).
-  double period = 1.0;
   /// Inbound budget for this period, in segments (I * tau, minus
   /// whatever in-flight transfers already claim).
   std::size_t inbound_budget = 0;

@@ -5,6 +5,7 @@
 
 #include "analysis/continuity_model.hpp"
 #include "core/buffer_map.hpp"
+#include "core/params.hpp"
 #include "net/message.hpp"
 #include "obs/phase_profiler.hpp"
 #include "obs/report.hpp"
@@ -74,6 +75,10 @@ constexpr Bits kMembershipEntryBits = 48;
 /// aggregate demand under churn permanently exceeds capacity.
 constexpr SegmentId kLookaheadSegments = 150;
 
+/// The hardening tuning every session runs when SystemConfig::hardening
+/// is on.
+constexpr fault::RetryPolicy kRetryPolicy{};
+
 /// Fork/join shard grains. Fixed constants — NEVER derived from the
 /// thread count — so the shard structure (and with it the merge order
 /// of stats deltas, FP accumulations and deferred emissions) is
@@ -92,8 +97,8 @@ std::uint64_t fit_id_space(std::uint64_t configured, std::size_t nodes) {
 }
 
 Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapshot)
-    : config_(config),
-      space_(fit_id_space(config.id_space, snapshot.node_count())),
+    : config_((config.validate(), config)),
+      space_(fit_id_space(kIdSpace, snapshot.node_count())),
       network_(sim_, net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0,
                                                    config.latency_grid_ms)),
       directory_(space_),
@@ -102,7 +107,7 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
       rng_(config.seed),
       // ParallelExecutor resolves 0 to hardware_concurrency itself.
       exec_(config.threads),
-      rounds_(sim_, config.scheduling_period,
+      rounds_(sim_, kSchedulingPeriod,
               [this](const std::vector<std::size_t>& users) { on_round_batch(users); }) {
   network_.set_delivery_filter([this](std::size_t to) { return alive_index(to); });
   // Quantized-mode delivery buckets fork on the session's executor;
@@ -132,15 +137,11 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
   // estimate n behind t_fetch is the trace's node count (the paper: it
   // "does not need to be accurate"). They set the urgent line's initial
   // alpha, lower bound and adaptation step, and the prefetch horizon.
-  urgent_.playback_rate = config_.playback_rate;
-  urgent_.buffer_capacity = config_.buffer_capacity;
-  urgent_.scheduling_period = config_.scheduling_period;
   urgent_.t_hop = network_.latency().average_latency_ms() / 1000.0;
   urgent_.t_fetch = analysis::expected_fetch_time_s(
       static_cast<double>(snapshot.node_count()), urgent_.t_hop);
   // Compile the fault plan. An inert plan installs nothing, so the
   // zero-fault send path never even branches into the injector.
-  hardened_ = config_.retry.enabled;
   if (config_.fault.active()) {
     fault_injector_ =
         std::make_unique<fault::FaultInjector>(config_.fault, config_.seed);
@@ -173,13 +174,13 @@ void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id = rp_.assign_id();
     double inbound =
-        sample_rate(config_.inbound_min, config_.inbound_max, /*skewed=*/true);
+        sample_rate(/*skewed=*/true);
     double outbound =
-        sample_rate(config_.outbound_min, config_.outbound_max, /*skewed=*/false);
+        sample_rate(/*skewed=*/false);
     if (i == 0) {
       // The source: zero inbound, much larger outbound.
       inbound = 0.0;
-      outbound = config_.source_outbound;
+      outbound = kSourceOutbound;
     }
     auto node = std::make_unique<Node>(id, i, config_, urgent_, space_, inbound,
                                        outbound, snapshot.nodes()[i].ping_ms);
@@ -191,7 +192,7 @@ void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
   }
 }
 
-double Session::sample_rate(double lo, double hi, bool skewed) {
+double Session::sample_rate(bool skewed) {
   // Inbound rates: the paper draws "randomly ... from 300 Kbps to
   // 1 Mbps" with an average of 450 Kbps — skewed toward the low end; a
   // truncated exponential on [lo, hi] reproduces that (mean at
@@ -203,6 +204,8 @@ double Session::sample_rate(double lo, double hi, bool skewed) {
   // occupancy at all (arrivals are independent Poisson), while our
   // fluid model serializes every transfer — granting the uplink the
   // uniform reading keeps the supply slack its results presuppose.
+  constexpr double lo = kPeerRateMin;
+  constexpr double hi = kPeerRateMax;
   const double span = hi - lo;
   const double beta = span / 4.45;  // calibrated so the mean ~ lo + span/4.6
   if (!config_.heterogeneous_bandwidth) {
@@ -286,7 +289,7 @@ void Session::populate_initial_dht() {
 }
 
 SimTime Session::round_phase(util::Rng& rng) const {
-  const double tau = config_.scheduling_period;
+  const double tau = kSchedulingPeriod;
   const SimTime now = sim_.now();
   // Nodes sharing a bucket tick at the SAME instant, so RoundScheduler
   // batches them and the executor has something to shard. Buckets span
@@ -306,8 +309,8 @@ SimTime Session::round_phase(util::Rng& rng) const {
 }
 
 void Session::start_processes() {
-  const double tau = config_.scheduling_period;
-  const double emit_period = 1.0 / static_cast<double>(config_.playback_rate);
+  const double tau = kSchedulingPeriod;
+  const double emit_period = 1.0 / static_cast<double>(kPlaybackRate);
 
   emit_process_ = std::make_unique<sim::PeriodicProcess>(
       sim_, emit_period, [this] { on_source_emit(); });
@@ -327,7 +330,6 @@ void Session::start_processes() {
   // Crash-stop events from the fault plan: plain serial simulator
   // events (victims leave the round scheduler inside kill_node).
   for (const auto& crash : config_.fault.crashes) {
-    if (crash.time <= 0.0 || crash.fraction <= 0.0) continue;
     sim_.schedule_at(crash.time, [this, fraction = crash.fraction] {
       on_fault_crash(fraction);
     });
@@ -505,7 +507,7 @@ void Session::round_prepare_local(std::size_t index, SessionStats& stats,
   Node& node = *nodes_[index];
   if (!node.alive()) return;
   const SimTime now = sim_.now();
-  const double tau = config_.scheduling_period;
+  const double tau = kSchedulingPeriod;
   // Per-tick RNG stream: every draw a round makes comes from
   // (session seed, tick time, node id), never from the shared session
   // generator — rounds are RNG-independent of each other, which is what
@@ -525,13 +527,13 @@ void Session::round_prepare_local(std::size_t index, SessionStats& stats,
   const auto on_failed = [&shard, index32](NodeId supplier) {
     shard.rate_decays.emplace_back(index32, supplier);
   };
-  if (hardened_) {
+  if (config_.hardening) {
     // The same one-pass sweep also records retry-backoff and
     // supplier-strike state — all own-node writes, so the fork-safety
     // argument is unchanged; the tallies ride the per-shard stats.
     Node::SweepHardening hard;
     stats.transfer_timeouts +=
-        node.sweep_timeouts(cutoff, on_failed, &config_.retry, now, &hard);
+        node.sweep_timeouts(cutoff, on_failed, &kRetryPolicy, now, &hard);
     stats.retry_backoffs += hard.backoffs;
     stats.suppliers_blacklisted += hard.blacklists;
     if (trace_ != nullptr && (hard.backoffs > 0 || hard.blacklists > 0)) {
@@ -592,7 +594,7 @@ void Session::apply_prepare_shard(PrepareShard& shard) {
   // charged here in bulk — bit-identical to per-message charging
   // (TrafficAccount keeps per-class sums of bits and message counts).
   network_.charge_only_bulk(MessageType::kBufferMap,
-                            buffer_map_bits(config_.buffer_capacity),
+                            buffer_map_bits(kBufferCapacity),
                             shard.buffer_map_messages);
   network_.charge_only_bulk(MessageType::kJoinNotify,
                             kPiggybackEntries * kMembershipEntryBits,
@@ -630,7 +632,7 @@ void Session::round_plan(std::size_t index, RoundPlan& plan, SessionStats& stats
   // TCP-based puller would.) Uses a reduced quota so the round's
   // total stays near I*tau. Deferred: the emission itself must not
   // touch the queue from a worker shard.
-  emissions.defer_at(sim_.now() + 0.5 * config_.scheduling_period, [this, index] {
+  emissions.defer_at(sim_.now() + 0.5 * kSchedulingPeriod, [this, index] {
     Node& retry = *nodes_[index];
     if (retry.alive() && !retry.is_source()) {
       run_scheduling(retry, /*budget_fraction=*/0.4);
@@ -653,8 +655,8 @@ void Session::round_commit(std::size_t index, RoundPlan& plan) {
 
   // Garbage-collect state that can no longer matter. (Bookkeeping
   // compaction runs in round_prepare, at the in-flight low point.)
-  if (emitted_ > static_cast<SegmentId>(config_.buffer_capacity)) {
-    node.backup().expire_before(emitted_ - static_cast<SegmentId>(config_.buffer_capacity));
+  if (emitted_ > static_cast<SegmentId>(kBufferCapacity)) {
+    node.backup().expire_before(emitted_ - static_cast<SegmentId>(kBufferCapacity));
   }
   node.expire_tags(node.buffer().window_head());
 }
@@ -697,8 +699,8 @@ void Session::repair_neighbors(Node& node) {
   // asymmetry and repairs independently.
   const bool struggling = node.round_stats().missed > 0;
   if (struggling && node.neighbors().size() >= config_.connected_neighbors) {
-    const auto weakest = node.neighbors().weakest(now, config_.neighbor_min_age);
-    if (weakest.has_value() && weakest->supply_rate < config_.low_supply_threshold) {
+    const auto weakest = node.neighbors().weakest(now, kNeighborMinAge);
+    if (weakest.has_value() && weakest->supply_rate < kLowSupplyThreshold) {
       const auto candidate = node.overheard().best_candidate(excluded);
       if (candidate.has_value()) {
         const auto cidx = alive_node_by_id(candidate->id);
@@ -752,7 +754,7 @@ std::optional<SegmentId> Session::plan_playback_start(const Node& node) const {
     return false;
   }();
   const std::size_t runway =
-      following ? kJoinStartSegments : config_.startup_segments;
+      following ? kJoinStartSegments : kStartupSegments;
   if (!node.buffer().startup_ready(runway)) return std::nullopt;
   const auto newest = node.buffer().newest();
   if (!newest.has_value()) return std::nullopt;
@@ -765,7 +767,7 @@ std::optional<SegmentId> Session::plan_playback_start(const Node& node) const {
   // arrival-FIFO buffers, and the urgency channel fetches it first.
   const SegmentId anchor =
       std::max({node.buffer().window_head(),
-                *newest - static_cast<SegmentId>(config_.startup_segments),
+                *newest - static_cast<SegmentId>(kStartupSegments),
                 SegmentId{0}});
   return anchor;
 }
@@ -817,7 +819,7 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
 bool Session::plan_scheduling(const Node& node, double budget_fraction,
                               ScheduleResult& out, std::uint64_t& seen) const {
   const SimTime now = sim_.now();
-  const double tau = config_.scheduling_period;
+  const double tau = kSchedulingPeriod;
 
   // Collect alive neighbor views.
   struct NeighborView {
@@ -833,7 +835,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
     // Supplier failover: a blacklisted neighbor's offers are ignored
     // until its window decays, so demand routes around a peer whose
     // transfers keep timing out (lossy link or silently dead).
-    if (hardened_ && node.supplier_blacklisted(id, now, config_.retry)) continue;
+    if (config_.hardening && node.supplier_blacklisted(id, now, kRetryPolicy)) continue;
     const Node& peer = *nodes_[*idx];
     const auto newest = peer.buffer().newest();
     if (!newest.has_value()) continue;
@@ -876,17 +878,14 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
   lo = std::max<SegmentId>(lo, 0);
   SegmentId hi = lo;
   for (const auto& view : views) hi = std::max(hi, view.newest + 1);
-  hi = std::min(hi, lo + static_cast<SegmentId>(config_.buffer_capacity));
+  hi = std::min(hi, lo + static_cast<SegmentId>(kBufferCapacity));
   hi = std::min(hi, lo + kLookaheadSegments);
 
   // Build candidates: fresh segments = in some neighbor's buffer, not
   // ours, not in flight.
   ScheduleRequest request;
-  request.period = tau;
   request.priority_inputs.play_point =
       started ? node.buffer().play_point(now) : kInvalidSegment;
-  request.priority_inputs.playback_rate = config_.playback_rate;
-  request.priority_inputs.buffer_capacity = config_.buffer_capacity;
 
   // Inbound quota (Algorithm 1 line 1): min(m, I*tau). The downlink
   // queue model enforces actual absorption; transfer_pending prevents
@@ -904,7 +903,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
     if (node.buffer().has(id) || node.transfer_pending(id)) continue;
     // Bounded retry: a timed-out segment sits out its backoff window
     // before it may be re-requested.
-    if (hardened_ && node.retry_blocked(id, now)) continue;
+    if (config_.hardening && node.retry_blocked(id, now)) continue;
     Candidate candidate;
     candidate.id = id;
     for (const auto& view : views) {
@@ -914,7 +913,7 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
       offer.rate = view.rate;
       const auto distance = static_cast<std::size_t>(
           std::max<SegmentId>(view.newest - id + 1, 1));
-      offer.buffer_position = std::min(distance, config_.buffer_capacity);
+      offer.buffer_position = std::min(distance, kBufferCapacity);
       candidate.offers.push_back(offer);
     }
     if (!candidate.offers.empty()) {
@@ -997,7 +996,7 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
     event.a = ids.size();
     trace_->record(ctx.shard(), event);
   }
-  const double horizon = kServeWithinPeriods * config_.scheduling_period;
+  const double horizon = kServeWithinPeriods * kSchedulingPeriod;
   const double service_time = 1.0 / std::max(sup.outbound_rate(), 0.01);
   // Keep the urgent head of the request in priority order (the
   // requester ranked deadline-critical segments first), but serve the
@@ -1176,7 +1175,7 @@ void Session::deliver_segment(std::size_t receiver, SegmentId id, TransferKind k
   // Hardening: a completed delivery clears the segment's retry streak
   // and wipes the supplier's strike record. Receiver-own writes only,
   // so this is safe inside a forked receiver shard.
-  if (hardened_) {
+  if (config_.hardening) {
     node.clear_retry(id);
     node.note_supplier_success(supplier);
   }
@@ -1247,7 +1246,7 @@ void Session::push_relay(Node& node, SegmentId id) {
   // GridMedia for), starving the pull plane. Respect the uplink
   // admission horizon so pushes cannot monopolize a saturated uplink.
   const std::size_t fanout =
-      node.is_source() ? config_.push_fanout + 2 : std::size_t{1};
+      node.is_source() ? kPushFanout + 2 : std::size_t{1};
   auto partners = node.neighbors().ids();
   rng_.shuffle(partners);
   std::size_t pushed = 0;
@@ -1257,7 +1256,7 @@ void Session::push_relay(Node& node, SegmentId id) {
     if (!pidx.has_value()) continue;
     Node& peer = *nodes_[*pidx];
     if (peer.buffer().has(id)) continue;
-    const double horizon = kServeWithinPeriods * config_.scheduling_period;
+    const double horizon = kServeWithinPeriods * kSchedulingPeriod;
     const double service = 1.0 / std::max(node.outbound_rate(), 0.01);
     if (std::max(node.uplink_free_at(), sim_.now()) + service - sim_.now() > horizon) {
       break;  // uplink saturated: pulls take precedence
@@ -1296,7 +1295,7 @@ Session::PrefetchPlan Session::plan_prefetch(const Node& node,
   // missed" and is left to the scheduler.
   const SegmentId imminent =
       head + static_cast<SegmentId>(std::ceil(
-                 static_cast<double>(config_.playback_rate) * urgent_.t_fetch)) + 1;
+                 static_cast<double>(kPlaybackRate) * urgent_.t_fetch)) + 1;
   // A segment the SAME round's scheduling plan just booked is not yet
   // in transfer_pending (bookings commit after the plan join), so
   // consult the plan directly — reproducing the serial rule that a
@@ -1316,7 +1315,7 @@ Session::PrefetchPlan Session::plan_prefetch(const Node& node,
     }
     // Hardening: a segment inside its backoff window is not retried —
     // neither by gossip (plan_scheduling skips it) nor by pre-fetch.
-    if (hardened_ && node.retry_blocked(id, now)) continue;
+    if (config_.hardening && node.retry_blocked(id, now)) continue;
     missed.push_back(id);
   }
 
@@ -1325,7 +1324,7 @@ Session::PrefetchPlan Session::plan_prefetch(const Node& node,
   // Pre-fetch shares the inbound rate with the scheduler: skip when the
   // downlink is already saturated with scheduled arrivals.
   const double backlog_s = std::max(0.0, node.downlink_free_at() - now);
-  if (backlog_s > 0.5 * config_.scheduling_period) return plan;
+  if (backlog_s > 0.5 * kSchedulingPeriod) return plan;
 
   plan.launch.assign(missed.begin(), missed.begin() + quota);
   return plan;
@@ -1448,7 +1447,7 @@ void Session::handle_prefetch_request(std::size_t owner, std::size_t origin,
   // owner for its available sending rate, so serve unless the uplink is
   // severely backed up (then the origin's timeout recovers).
   if (node.uplink_free_at() - sim_.now() >
-      2.0 * kServeWithinPeriods * config_.scheduling_period) {
+      2.0 * kServeWithinPeriods * kSchedulingPeriod) {
     return;
   }
   start_fluid_transfer(owner, origin, segment, MessageType::kPrefetchData,
@@ -1596,8 +1595,8 @@ void Session::do_join() {
   const std::size_t index = network_.latency().add_node(ping);
   auto node = std::make_unique<Node>(
       id, index, config_, urgent_, space_,
-      sample_rate(config_.inbound_min, config_.inbound_max, /*skewed=*/true),
-      sample_rate(config_.outbound_min, config_.outbound_max, /*skewed=*/false),
+      sample_rate(/*skewed=*/true),
+      sample_rate(/*skewed=*/false),
       ping);
   const SimTime now = sim_.now();
   ++stats_.joins;
@@ -1798,7 +1797,7 @@ void Session::on_sample_tick() {
   // Stalled-node series: only recorded when faults or hardening are in
   // play, so the zero-fault collector output (and its fingerprint fold)
   // is unchanged.
-  if (fault_injector_ != nullptr || hardened_) {
+  if (fault_injector_ != nullptr || config_.hardening) {
     collector_.record("stalled_nodes", now,
                       static_cast<double>(total.stall_rounds));
   }

@@ -191,6 +191,7 @@ struct MemoryFootprint {
 
 class Session {
  public:
+  /// Throws std::invalid_argument if `config.validate()` rejects it.
   Session(const SystemConfig& config, const trace::TraceSnapshot& snapshot);
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -260,7 +261,7 @@ class Session {
   void assign_initial_neighbors(const trace::TraceSnapshot& snapshot);
   void populate_initial_dht();
   void start_processes();
-  [[nodiscard]] double sample_rate(double lo, double hi, bool skewed);
+  [[nodiscard]] double sample_rate(bool skewed);
   [[nodiscard]] double sample_ping();
 
   // --- per-round behaviour ------------------------------------------------
@@ -454,9 +455,6 @@ class Session {
   /// then never consults it and the send path is bit-identical to a
   /// fault-free build).
   std::unique_ptr<fault::FaultInjector> fault_injector_;
-  /// Cached config_.retry.enabled: hardening consults ride hot
-  /// scheduling loops, and the zero-fault path must stay branch-cheap.
-  bool hardened_ = false;
   dht::RingDirectory directory_;
   overlay::RendezvousServer rp_;
   overlay::ChurnPlanner churn_;

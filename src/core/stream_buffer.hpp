@@ -36,7 +36,7 @@ class StreamBuffer {
   /// segment before skipping it (era players rebuffer rather than skip;
   /// waiting also deepens the node's position until it is sustainable).
   StreamBuffer(std::size_t capacity, std::uint64_t playback_rate,
-               double stall_patience = 2.0);
+               double stall_patience);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return window_.capacity(); }
   [[nodiscard]] std::uint64_t playback_rate() const noexcept { return playback_rate_; }
@@ -50,9 +50,8 @@ class StreamBuffer {
   [[nodiscard]] bool has(SegmentId id) const noexcept { return window_.test(id); }
   [[nodiscard]] std::size_t held() const noexcept { return window_.count(); }
 
-  /// Window bounds [head, end).
+  /// Window start (the oldest id the buffer can hold).
   [[nodiscard]] SegmentId window_head() const noexcept { return window_.head(); }
-  [[nodiscard]] SegmentId window_end() const noexcept { return window_.end(); }
 
   /// Highest-id segment currently held (nullopt when empty).
   [[nodiscard]] std::optional<SegmentId> newest() const;

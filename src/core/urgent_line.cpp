@@ -2,25 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "core/params.hpp"
 
 namespace continu::core {
 
-UrgentLine::UrgentLine(const UrgentLineConfig& config)
-    : capacity_(config.buffer_capacity) {
-  if (config.buffer_capacity == 0 || config.playback_rate == 0) {
-    throw std::invalid_argument("UrgentLine: bad buffer/playback parameters");
-  }
-  const double p = static_cast<double>(config.playback_rate);
-  const double b = static_cast<double>(config.buffer_capacity);
-  lower_bound_ = p / b * std::max(config.scheduling_period, config.t_fetch);
+UrgentLine::UrgentLine(const UrgentLineConfig& config) {
+  const double p = static_cast<double>(kPlaybackRate);
+  const double b = static_cast<double>(kBufferCapacity);
+  lower_bound_ = p / b * std::max(kSchedulingPeriod, config.t_fetch);
   lower_bound_ = std::min(lower_bound_, 1.0);
   step_ = p * config.t_hop / b;
   alpha_ = lower_bound_;
 }
 
 SegmentId UrgentLine::urgent_id(SegmentId id_head) const noexcept {
-  return id_head + static_cast<SegmentId>(std::llround(alpha_ * static_cast<double>(capacity_)));
+  return id_head + static_cast<SegmentId>(std::llround(alpha_ * static_cast<double>(kBufferCapacity)));
 }
 
 void UrgentLine::on_overdue_prefetch() noexcept {

@@ -17,10 +17,9 @@
 
 namespace continu::core {
 
+/// The line's two estimated inputs; p, B and tau are the constants of
+/// core/params.hpp.
 struct UrgentLineConfig {
-  std::uint64_t playback_rate = 10;   ///< p
-  std::size_t buffer_capacity = 600;  ///< B
-  double scheduling_period = 1.0;     ///< tau (s)
   double t_fetch = 0.4;               ///< expected on-demand fetch time (s)
   double t_hop = 0.05;                ///< average one-hop latency (s)
 };
@@ -56,7 +55,6 @@ class UrgentLine {
   double alpha_;
   double lower_bound_;
   double step_;
-  std::size_t capacity_;
   std::uint64_t overdue_ = 0;
   std::uint64_t repeated_ = 0;
 };

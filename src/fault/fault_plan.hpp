@@ -69,11 +69,10 @@ struct FaultPlan {
 
 /// Hardening policy for the pull/prefetch planes: bounded
 /// retry-with-backoff on timed-out transfers and a decaying supplier
-/// blacklist after repeated failures. Disabled by default so the
-/// zero-fault hot path is untouched; fault scenarios switch it on.
+/// blacklist after repeated failures. A session runs these defaults
+/// when core::SystemConfig::hardening is on; the fields are the
+/// Node-level tuning that unit tests drive directly.
 struct RetryPolicy {
-  bool enabled = false;
-
   /// Backoff after the k-th consecutive timeout of one segment:
   /// min(backoff_base * 2^(k-1), backoff_cap) seconds. Attempts are
   /// capped at max_attempts; further failures keep the cap.

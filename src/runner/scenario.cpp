@@ -243,7 +243,7 @@ namespace {
       s.name = prefix + s.name;
       s.description += std::string(" [") + what + "]";
       s.config.fault = plan;
-      s.config.retry.enabled = true;
+      s.config.hardening = true;
       s.config.latency_grid_ms = grid_ms;
       families.push_back(std::move(s));
     };

@@ -58,12 +58,6 @@ std::size_t Topology::min_degree() const noexcept {
   return best;
 }
 
-std::size_t Topology::max_degree() const noexcept {
-  std::size_t best = 0;
-  for (const auto& list : adjacency_) best = std::max(best, list.size());
-  return best;
-}
-
 double Topology::latency_ms(std::uint32_t a, std::uint32_t b) const {
   const double diff = std::abs(ping_ms_.at(a) - ping_ms_.at(b));
   return std::max(diff, kLatencyFloorMs);

@@ -28,7 +28,6 @@ class Topology {
 
   [[nodiscard]] double average_degree() const noexcept;
   [[nodiscard]] std::size_t min_degree() const noexcept;
-  [[nodiscard]] std::size_t max_degree() const noexcept;
 
   /// Latency estimate between two overlay nodes (paper Section 5.2):
   /// |ping_a - ping_b| clamped below by `floor_ms`. Symmetric.

@@ -81,12 +81,6 @@ TraceSnapshot TraceSnapshot::load(std::istream& in) {
   return TraceSnapshot(std::move(nodes), std::move(edges));
 }
 
-void TraceSnapshot::save_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("TraceSnapshot::save_file: cannot open " + path);
-  save(out);
-}
-
 TraceSnapshot TraceSnapshot::load_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("TraceSnapshot::load_file: cannot open " + path);

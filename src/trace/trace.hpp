@@ -5,9 +5,9 @@
 // The paper consumes only each node's ID, IP and ping time (measured
 // from a central crawler) plus the overlay edge set, and then adds
 // random edges until every node has M connected neighbors because the
-// crawled average degree (< 1 to 3.5) is too small for streaming. The
-// substitution we make (synthetic snapshots with matching shape) is
-// documented in DESIGN.md section 2.
+// crawled average degree (< 1 to 3.5) is too small for streaming. We
+// substitute synthetic snapshots with matching shape (trace/generator.hpp;
+// docs/ARCHITECTURE.md lists the subsystem).
 
 #include <cstdint>
 #include <iosfwd>
@@ -49,8 +49,7 @@ class TraceSnapshot {
   void save(std::ostream& out) const;
   [[nodiscard]] static TraceSnapshot load(std::istream& in);
 
-  /// Convenience file wrappers.
-  void save_file(const std::string& path) const;
+  /// Convenience file wrapper around load().
   [[nodiscard]] static TraceSnapshot load_file(const std::string& path);
 
  private:

@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "core/params.hpp"
 #include "core/priority.hpp"
 #include "core/scheduler.hpp"
 #include "util/rng.hpp"
@@ -17,8 +18,6 @@ namespace {
 PriorityInputs paper_inputs(SegmentId play_point = 100) {
   PriorityInputs in;
   in.play_point = play_point;
-  in.playback_rate = 10;
-  in.buffer_capacity = 600;
   in.rarest_weight = 0.0;  // test eq. 3 literally unless stated otherwise
   return in;
 }
@@ -69,36 +68,33 @@ TEST(Priority, RarityMatchesEq2) {
   // rarity = prod(p_ij / B).
   const auto c = make_candidate(120, {{1, 5.0, 300}, {2, 5.0, 600}});
   // 300/600 * 600/600 = 0.5.
-  EXPECT_NEAR(rarity(c, paper_inputs()), 0.5, 1e-12);
+  EXPECT_NEAR(rarity(c), 0.5, 1e-12);
 }
 
 TEST(Priority, RarityHigherNearEviction) {
-  const auto in = paper_inputs();
   const auto fresh = make_candidate(1, {{1, 5.0, 10}});   // far from eviction
   const auto dying = make_candidate(2, {{1, 5.0, 590}});  // about to vanish
-  EXPECT_GT(rarity(dying, in), rarity(fresh, in));
+  EXPECT_GT(rarity(dying), rarity(fresh));
 }
 
 TEST(Priority, RarityDecreasesWithMoreSuppliers) {
-  const auto in = paper_inputs();
   const auto one = make_candidate(1, {{1, 5.0, 300}});
   const auto two = make_candidate(1, {{1, 5.0, 300}, {2, 5.0, 300}});
-  EXPECT_GT(rarity(one, in), rarity(two, in));
+  EXPECT_GT(rarity(one), rarity(two));
 }
 
 TEST(Priority, PositionsClampToBuffer) {
-  const auto in = paper_inputs();
   const auto c = make_candidate(1, {{1, 5.0, 10000}});  // beyond B
-  EXPECT_DOUBLE_EQ(rarity(c, in), 1.0);
+  EXPECT_DOUBLE_EQ(rarity(c), 1.0);
   const auto z = make_candidate(1, {{1, 5.0, 0}});      // below 1
-  EXPECT_NEAR(rarity(z, in), 1.0 / 600.0, 1e-12);
+  EXPECT_NEAR(rarity(z), 1.0 / 600.0, 1e-12);
 }
 
 TEST(Priority, PriorityIsMaxOfBoth) {
   const auto in = paper_inputs(100);
   // Rare but not urgent.
   const auto rare = make_candidate(500, {{1, 5.0, 599}});
-  EXPECT_DOUBLE_EQ(priority(rare, in), rarity(rare, in));
+  EXPECT_DOUBLE_EQ(priority(rare, in), rarity(rare));
   // Urgent but common.
   const auto urgent_c = make_candidate(102, {{1, 5.0, 10}, {2, 5.0, 10}});
   EXPECT_DOUBLE_EQ(priority(urgent_c, in), urgency(urgent_c, in));
@@ -133,7 +129,7 @@ TEST(Priority, RarestFirstScore) {
 
 TEST(Priority, EmptyOfferListsRejected) {
   const auto c = make_candidate(1, {});
-  EXPECT_THROW((void)rarity(c, paper_inputs()), std::invalid_argument);
+  EXPECT_THROW((void)rarity(c), std::invalid_argument);
   EXPECT_THROW((void)expected_slack(c, paper_inputs()), std::invalid_argument);
   EXPECT_THROW((void)rarest_first_score(c), std::invalid_argument);
 }
@@ -143,11 +139,10 @@ TEST(Priority, EmptyOfferListsRejected) {
 // ---------------------------------------------------------------------------
 
 ScheduleRequest simple_request(std::vector<Candidate> candidates,
-                               std::size_t budget = 100, double period = 1.0) {
+                               std::size_t budget = 100) {
   ScheduleRequest r;
   r.candidates = std::move(candidates);
   r.priority_inputs = paper_inputs(0);
-  r.period = period;
   r.inbound_budget = budget;
   return r;
 }
@@ -319,7 +314,6 @@ TEST_P(SchedulerProperty, InvariantsHoldOnRandomInstances) {
     ScheduleRequest request;
     request.candidates = std::move(candidates);
     request.priority_inputs = paper_inputs(90);
-    request.period = 1.0;
     request.inbound_budget = 1 + rng.next_below(20);
 
     for (const bool continu : {true, false}) {
@@ -334,7 +328,7 @@ TEST_P(SchedulerProperty, InvariantsHoldOnRandomInstances) {
       std::map<NodeId, double> queue_time;
       for (const auto& a : result.assignments) {
         EXPECT_TRUE(seen.insert(a.segment).second);
-        EXPECT_LT(a.expected_time, request.period);
+        EXPECT_LT(a.expected_time, kSchedulingPeriod);
         EXPECT_GT(a.expected_time, queue_time[a.supplier]);
         queue_time[a.supplier] = a.expected_time;
       }

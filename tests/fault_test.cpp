@@ -127,7 +127,6 @@ TEST(RetryHardening, BackoffDoublesAndSaturatesAtTheCap) {
   core::Node node = test_node(1, space, config);
 
   RetryPolicy policy;
-  policy.enabled = true;
   policy.backoff_base = 0.5;
   policy.backoff_cap = 4.0;
   policy.max_attempts = 4;
@@ -173,7 +172,6 @@ TEST(RetryHardening, SupplierBlacklistEngagesDecaysAndClears) {
   core::Node node = test_node(1, space, config);
 
   RetryPolicy policy;
-  policy.enabled = true;
   policy.blacklist_strikes = 3;
   policy.blacklist_base = 2.0;
   policy.blacklist_cap = 8.0;
@@ -210,7 +208,6 @@ TEST(RetryHardening, CompactionSweepsStaleRetryRecords) {
   core::Node node = test_node(1, space, config);
 
   RetryPolicy policy;
-  policy.enabled = true;
   policy.backoff_base = 0.5;
   policy.backoff_cap = 2.0;
 
@@ -331,7 +328,7 @@ TEST(FaultSession, HardeningTablesStayBoundedUnderFaults) {
   config.seed = 24;
   config.threads = 4;
   config.fault.loss_rate = 0.02;
-  config.retry.enabled = true;
+  config.hardening = true;
   core::Session session(config, snapshot);
   session.run(25.0);
 

@@ -673,14 +673,14 @@ TEST(ScenarioFamilies, FaultFamiliesAndGroupsResolve) {
   ASSERT_TRUE(f5.has_value());
   EXPECT_EQ(f5->node_count, base->node_count);
   EXPECT_EQ(f5->trace_seed, base->trace_seed);
-  EXPECT_TRUE(f5->config.retry.enabled);
+  EXPECT_TRUE(f5->config.hardening);
   EXPECT_TRUE(f5->config.fault.active());
   EXPECT_DOUBLE_EQ(f5->config.fault.loss_rate, 0.05);
   ASSERT_EQ(f5->config.fault.crashes.size(), 1u);
   EXPECT_DOUBLE_EQ(f5->config.fault.crashes[0].fraction, 0.10);
 
   const auto config = f5->make_config(7);
-  EXPECT_TRUE(config.retry.enabled);
+  EXPECT_TRUE(config.hardening);
   EXPECT_TRUE(config.fault.active());
 
   // The quantized variant carries the same plan over the grid mode.
@@ -699,7 +699,7 @@ TEST(ScenarioFamilies, FaultFamiliesAndGroupsResolve) {
   // default everywhere outside the f*_ families.
   for (const auto& s : runner::scenario_matrix()) {
     EXPECT_FALSE(s.config.fault.active()) << s.name;
-    EXPECT_FALSE(s.config.retry.enabled) << s.name;
+    EXPECT_FALSE(s.config.hardening) << s.name;
   }
 
   // Prefix groups cover every family member exactly once, first

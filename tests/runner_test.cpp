@@ -241,6 +241,14 @@ TEST(ScenarioMatrix, NamedLookup) {
   EXPECT_EQ(unique.size(), names.size()) << "scenario names must be unique";
 }
 
+TEST(ScenarioMatrix, EveryScenarioConfigValidates) {
+  for (const auto& name : all_scenario_names()) {
+    const auto scenario = find_scenario(name);
+    ASSERT_TRUE(scenario.has_value()) << name;
+    EXPECT_NO_THROW(scenario->config.validate()) << name;
+  }
+}
+
 TEST(ScenarioMatrix, ConfigReflectsScenario) {
   const auto dynamic = *find_scenario("dynamic_1k");
   const auto config = dynamic.make_config(99);

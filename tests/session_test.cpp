@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/continuity_model.hpp"
 #include "core/config.hpp"
+#include "core/params.hpp"
 #include "core/session.hpp"
 #include "net/latency_model.hpp"
 #include "net/message.hpp"
@@ -77,18 +80,20 @@ TEST(Session, SourceConfiguration) {
   Session session(config, snapshot);
   EXPECT_TRUE(session.source().is_source());
   EXPECT_DOUBLE_EQ(session.source().inbound_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(session.source().outbound_rate(), config.source_outbound);
+  EXPECT_DOUBLE_EQ(session.source().outbound_rate(), kSourceOutbound);
 }
 
 TEST(Session, UrgentLineInputsComeFromTheTrace) {
   // t_hop is the trace's mean one-hop latency and the population
   // estimate n behind t_fetch is the trace's node count; no setting
-  // feeds either. A short period makes the eq. 9 lower bound
-  // p/B * max(tau, t_fetch) select t_fetch, so n shows in it too.
-  // Churn joiners must get the same trace-derived line.
-  const auto snapshot = small_trace(200, 15);
+  // feeds either. Stretching every ping 4x makes t_fetch exceed tau, so
+  // the eq. 9 lower bound p/B * max(tau, t_fetch) selects t_fetch and n
+  // shows in it too. Churn joiners must get the same trace-derived line.
+  const auto base = small_trace(200, 15);
+  std::vector<trace::TraceNode> stretched = base.nodes();
+  for (auto& node : stretched) node.ping_ms *= 4.0;
+  const trace::TraceSnapshot snapshot(std::move(stretched), base.edges());
   auto config = small_config(18);
-  config.scheduling_period = 0.25;
   config.churn_enabled = true;
   Session session(config, snapshot);
   session.run(10.0);
@@ -99,9 +104,9 @@ TEST(Session, UrgentLineInputsComeFromTheTrace) {
       1000.0;
   const double t_fetch = analysis::expected_fetch_time_s(
       static_cast<double>(snapshot.node_count()), t_hop);
-  ASSERT_GT(t_fetch, config.scheduling_period) << "premise: t_fetch sets the bound";
-  const double p = static_cast<double>(config.playback_rate);
-  const double b = static_cast<double>(config.buffer_capacity);
+  ASSERT_GT(t_fetch, kSchedulingPeriod) << "premise: t_fetch sets the bound";
+  const double p = static_cast<double>(kPlaybackRate);
+  const double b = static_cast<double>(kBufferCapacity);
   for (const std::size_t i : {std::size_t{0}, snapshot.node_count() - 1,
                               session.node_count() - 1}) {
     const UrgentLine& line = session.node(i).urgent_line();
@@ -118,8 +123,8 @@ TEST(Session, HeterogeneousRatesWithinRange) {
   double first = -1.0;
   for (std::size_t i = 1; i < session.node_count(); ++i) {
     const double rate = session.node(i).inbound_rate();
-    EXPECT_GE(rate, config.inbound_min);
-    EXPECT_LE(rate, config.inbound_max);
+    EXPECT_GE(rate, kPeerRateMin);
+    EXPECT_LE(rate, kPeerRateMax);
     if (first < 0.0) {
       first = rate;
     } else if (rate != first) {
@@ -136,7 +141,7 @@ TEST(Session, HomogeneousRatesAllEqual) {
   Session session(config, snapshot);
   // Every node gets the distribution mean (~15 segments/s = 450 Kbps).
   const double first = session.node(1).inbound_rate();
-  EXPECT_NEAR(first, config.mean_inbound(), 0.6);
+  EXPECT_NEAR(first, kMeanInbound, 0.6);
   for (std::size_t i = 2; i < session.node_count(); ++i) {
     EXPECT_DOUBLE_EQ(session.node(i).inbound_rate(), first);
   }
@@ -403,6 +408,99 @@ TEST(Session, MemoryFootprintSectionsAreConsistent) {
   // under the old ~2.8 KB. Generous bound so trace variance never
   // flakes; the CI budget gate enforces the tight number at static_8k.
   EXPECT_LT(fp.per_node_bytes(), 2200.0);
+}
+
+// ---------------------------------------------------------------------------
+// SystemConfig::validate — settings a run would ignore or misread are
+// rejected with the field's name, and Session runs the check.
+// ---------------------------------------------------------------------------
+
+void expect_rejected(const SystemConfig& config, const std::string& field) {
+  try {
+    config.validate();
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(SystemConfigValidate, DefaultsPass) {
+  EXPECT_NO_THROW(SystemConfig{}.validate());
+}
+
+TEST(SystemConfigValidate, RejectsCrashAtOrBeforeTimeZero) {
+  auto config = small_config(1);
+  config.fault.crashes.push_back({/*time=*/0.0, /*fraction=*/0.1});
+  expect_rejected(config, "fault.crashes.time");
+}
+
+TEST(SystemConfigValidate, RejectsNonPositiveCrashFraction) {
+  auto config = small_config(1);
+  config.fault.crashes.push_back({/*time=*/5.0, /*fraction=*/0.0});
+  expect_rejected(config, "fault.crashes.fraction");
+}
+
+TEST(SystemConfigValidate, RejectsCrashFractionAboveOne) {
+  auto config = small_config(1);
+  config.fault.crashes.push_back({/*time=*/5.0, /*fraction=*/1.5});
+  expect_rejected(config, "fault.crashes.fraction");
+}
+
+TEST(SystemConfigValidate, RejectsPartitionWithFewerThanTwoRegions) {
+  auto config = small_config(1);
+  config.fault.partitions.push_back({/*start=*/5.0, /*heal=*/10.0, /*regions=*/1});
+  expect_rejected(config, "fault.partitions.regions");
+}
+
+TEST(SystemConfigValidate, RejectsPartitionHealingAtOrBeforeStart) {
+  auto config = small_config(1);
+  config.fault.partitions.push_back({/*start=*/10.0, /*heal=*/10.0, /*regions=*/2});
+  expect_rejected(config, "fault.partitions.heal");
+}
+
+TEST(SystemConfigValidate, RejectsLossRateOutsideUnitInterval) {
+  auto config = small_config(1);
+  config.fault.loss_rate = 1.5;
+  expect_rejected(config, "fault.loss_rate");
+  config.fault.loss_rate = -0.1;
+  expect_rejected(config, "fault.loss_rate");
+}
+
+TEST(SystemConfigValidate, RejectsBurstRateOutsideUnitInterval) {
+  auto config = small_config(1);
+  config.fault.burst_rate = 2.0;
+  expect_rejected(config, "fault.burst_rate");
+}
+
+TEST(SystemConfigValidate, RejectsNegativeSpikeDuration) {
+  auto config = small_config(1);
+  config.fault.spikes.push_back({/*start=*/5.0, /*duration=*/-1.0, /*extra_ms=*/50.0});
+  expect_rejected(config, "fault.spikes.duration");
+}
+
+TEST(SystemConfigValidate, RejectsNegativeSpikeExtraLatency) {
+  auto config = small_config(1);
+  config.fault.spikes.push_back({/*start=*/5.0, /*duration=*/2.0, /*extra_ms=*/-50.0});
+  expect_rejected(config, "fault.spikes.extra_ms");
+}
+
+TEST(SystemConfigValidate, RejectsZeroConnectedNeighbors) {
+  auto config = small_config(1);
+  config.connected_neighbors = 0;
+  expect_rejected(config, "connected_neighbors");
+}
+
+TEST(SystemConfigValidate, RejectsZeroBackupReplicas) {
+  auto config = small_config(1);
+  config.backup_replicas = 0;
+  expect_rejected(config, "backup_replicas");
+}
+
+TEST(SystemConfigValidate, SessionConstructorValidates) {
+  auto config = small_config(1);
+  config.fault.partitions.push_back({/*start=*/5.0, /*heal=*/10.0, /*regions=*/0});
+  const auto snapshot = small_trace(50, 1);
+  EXPECT_THROW({ Session session(config, snapshot); }, std::invalid_argument);
 }
 
 }  // namespace
