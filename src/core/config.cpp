@@ -22,6 +22,23 @@ void SystemConfig::validate() const {
   require(backup_replicas > 0, "backup_replicas", "must be positive");
   require(is_probability(fault.loss_rate), "fault.loss_rate", "must be in [0, 1]");
   require(is_probability(fault.burst_rate), "fault.burst_rate", "must be in [0, 1]");
+  require(fault.burst_period >= 0.0, "fault.burst_period", "must be non-negative");
+  require(fault.burst_duration >= 0.0, "fault.burst_duration", "must be non-negative");
+  if (fault.burst_rate > 0.0) {
+    // A zero period or duration never bursts; a duration covering the
+    // whole period bursts forever.
+    require(fault.burst_period > 0.0, "fault.burst_period",
+            "must be positive when fault.burst_rate > 0");
+    require(fault.burst_duration > 0.0, "fault.burst_duration",
+            "must be positive when fault.burst_rate > 0");
+    require(fault.burst_duration < fault.burst_period, "fault.burst_duration",
+            "must be shorter than fault.burst_period");
+  } else {
+    require(fault.burst_period == 0.0, "fault.burst_period",
+            "must be 0 when fault.burst_rate is 0");
+    require(fault.burst_duration == 0.0, "fault.burst_duration",
+            "must be 0 when fault.burst_rate is 0");
+  }
   for (const auto& crash : fault.crashes) {
     require(crash.time > 0.0, "fault.crashes.time", "must be positive");
     require(crash.fraction > 0.0 && crash.fraction <= 1.0, "fault.crashes.fraction",

@@ -25,11 +25,10 @@ struct Ranked {
   // Line 1: the maximum number of inbound segments this period.
   const std::size_t limit = std::min(ranked.size(), request.inbound_budget);
 
-  // Queuing time per supplier, tau(j), initially 0. Flat maps: one
-  // allocation each for the handful of suppliers a round sees, on the
+  // Queuing time per supplier, tau(j), initially 0. A flat map: one
+  // allocation for the handful of suppliers a round sees, on the
   // hottest per-round path in the system.
   util::FlatMap<NodeId, double> queue_time;
-  util::FlatMap<NodeId, std::size_t> booked;
 
   for (std::size_t r = 0; r < ranked.size(); ++r) {
     if (result.assignments.size() >= limit) {
@@ -41,10 +40,6 @@ struct Ranked {
     NodeId chosen = kInvalidNode;
     for (const auto& offer : candidate.offers) {
       if (offer.rate <= 0.0) continue;
-      if (request.per_supplier_cap != 0 &&
-          booked[offer.supplier] >= request.per_supplier_cap) {
-        continue;
-      }
       const double t_trans = 1.0 / offer.rate;
       const double queued = queue_time[offer.supplier];
       const double total = t_trans + queued;
@@ -59,7 +54,6 @@ struct Ranked {
       continue;
     }
     queue_time[chosen] = t_min;  // line 13: tau(supplier) <- t_min
-    ++booked[chosen];
     result.assignments.push_back(
         Assignment{candidate.id, chosen, t_min, ranked[r].score});
   }

@@ -24,10 +24,6 @@ struct ScheduleRequest {
   /// Inbound budget for this period, in segments (I * tau, minus
   /// whatever in-flight transfers already claim).
   std::size_t inbound_budget = 0;
-  /// Cap on segments booked from one supplier per round. Spreads load
-  /// so concurrent requesters do not all converge on the one supplier
-  /// with the best rate estimate. 0 means unlimited.
-  std::size_t per_supplier_cap = 0;
   /// Relative rank jitter in [0, 1): scores are scaled by a
   /// deterministic per-(seed, segment) factor in [1 - j/2, 1 + j/2).
   /// Gossip depends on neighbors making DIFFERENT choices — without

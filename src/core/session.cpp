@@ -99,14 +99,15 @@ std::uint64_t fit_id_space(std::uint64_t configured, std::size_t nodes) {
 Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapshot)
     : config_((config.validate(), config)),
       space_(fit_id_space(kIdSpace, snapshot.node_count())),
-      network_(sim_, net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0,
-                                                   config.latency_grid_ms)),
+      // ParallelExecutor resolves 0 to hardware_concurrency itself.
+      exec_(config.threads),
+      network_(sim_, exec_,
+               net::LatencyModel::from_trace(snapshot, /*floor_ms=*/5.0,
+                                             config.latency_grid_ms)),
       directory_(space_),
       rp_(space_, util::Rng(config.seed ^ 0x5250ULL)),
       churn_(config.churn, util::Rng(config.seed ^ 0xC4u)),
       rng_(config.seed),
-      // ParallelExecutor resolves 0 to hardware_concurrency itself.
-      exec_(config.threads),
       rounds_(sim_, kSchedulingPeriod,
               [this](const std::vector<std::size_t>& users) { on_round_batch(users); }) {
   network_.set_delivery_filter([this](std::size_t to) { return alive_index(to); });
@@ -115,7 +116,6 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
   // the shard-order reduction — the same deferred-merge contract the
   // round phases use. Continuous mode never forks, and its immediate
   // contexts write straight into stats_.
-  network_.set_executor(&exec_);
   {
     net::Network::ShardHooks hooks;
     hooks.on_fork = [this](std::size_t shards) {
@@ -422,7 +422,7 @@ void Session::run_round_batch(const std::vector<std::size_t>& users) {
   // Join — ordered reduction: stats deltas, then deferred emissions
   // (event seq numbers come out exactly as serial execution's).
   sim::parallel::reduce_in_order(shard_stats_, stats_);
-  for (std::size_t s = 0; s < shards; ++s) shard_emissions_[s].flush_into(sim_);
+  for (std::size_t s = 0; s < shards; ++s) sim_.schedule_deferred(shard_emissions_[s]);
 
   // Phase 3 — commit: serial, batch order.
   const std::uint64_t commit_t0 =
@@ -602,7 +602,7 @@ void Session::apply_prepare_shard(PrepareShard& shard) {
 }
 
 void Session::round_plan(std::size_t index, RoundPlan& plan, SessionStats& stats,
-                         sim::parallel::EmissionBuffer& emissions) {
+                         std::vector<sim::EventQueue::Deferred>& emissions) {
   Node& node = *nodes_[index];
   // Reads only state that is STABLE for the whole batch: this node's
   // own post-prepare state and other nodes' buffers/liveness (mutated
@@ -632,12 +632,12 @@ void Session::round_plan(std::size_t index, RoundPlan& plan, SessionStats& stats
   // TCP-based puller would.) Uses a reduced quota so the round's
   // total stays near I*tau. Deferred: the emission itself must not
   // touch the queue from a worker shard.
-  emissions.defer_at(sim_.now() + 0.5 * kSchedulingPeriod, [this, index] {
+  emissions.push_back({sim_.now() + 0.5 * kSchedulingPeriod, [this, index] {
     Node& retry = *nodes_[index];
     if (retry.alive() && !retry.is_source()) {
       run_scheduling(retry, /*budget_fraction=*/0.4);
     }
-  });
+  }});
 }
 
 void Session::round_commit(std::size_t index, RoundPlan& plan) {

@@ -351,7 +351,7 @@ class Session {
   /// playback starts (record order), then the bulk wire charges.
   void apply_prepare_shard(PrepareShard& shard);
   void round_plan(std::size_t index, RoundPlan& plan, SessionStats& stats,
-                  sim::parallel::EmissionBuffer& emissions);
+                  std::vector<sim::EventQueue::Deferred>& emissions);
   void round_commit(std::size_t index, RoundPlan& plan);
 
   void repair_neighbors(Node& node);
@@ -450,6 +450,10 @@ class Session {
   UrgentLineConfig urgent_;
   dht::IdSpace space_;
   sim::Simulator sim_;
+  /// Fork/join worker pool for round batches, per-period sweeps and the
+  /// network's delivery buckets; declared before network_, which keeps
+  /// a reference to it.
+  sim::parallel::ParallelExecutor exec_;
   net::Network network_;
   /// Compiled FaultPlan (null when the plan is inert — the network
   /// then never consults it and the send path is bit-identical to a
@@ -459,8 +463,6 @@ class Session {
   overlay::RendezvousServer rp_;
   overlay::ChurnPlanner churn_;
   util::Rng rng_;
-  /// Fork/join worker pool for round batches and per-period sweeps.
-  sim::parallel::ParallelExecutor exec_;
 
   /// Reserved RoundScheduler tags for the session-wide per-period
   /// ticks batched alongside the node rounds.
@@ -483,7 +485,7 @@ class Session {
   /// capacity.
   std::vector<RoundPlan> plans_;
   std::vector<SessionStats> shard_stats_;
-  std::vector<sim::parallel::EmissionBuffer> shard_emissions_;
+  std::vector<std::vector<sim::EventQueue::Deferred>> shard_emissions_;
   std::vector<PrepareShard> prepare_shards_;
   /// Per-shard stats deltas for forked delivery-bucket dispatches
   /// (quantized mode). Separate from shard_stats_ on purpose: a bucket

@@ -52,7 +52,9 @@ struct FaultPlan {
 
   /// Burst-loss episodes: during the first `burst_duration` seconds of
   /// every `burst_period`-second cycle, the loss probability rises to
-  /// max(loss_rate, burst_rate). burst_period == 0 disables bursts.
+  /// max(loss_rate, burst_rate). burst_rate == 0 disables bursts;
+  /// SystemConfig::validate() then requires the period and duration to
+  /// be 0, and otherwise 0 < burst_duration < burst_period.
   double burst_rate = 0.0;
   double burst_period = 0.0;
   double burst_duration = 0.0;

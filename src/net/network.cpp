@@ -1,6 +1,5 @@
 #include "net/network.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "fault/fault_injector.hpp"
@@ -9,10 +8,12 @@
 
 namespace continu::net {
 
-Network::Network(sim::Simulator& sim, LatencyModel latency)
+Network::Network(sim::Simulator& sim, sim::parallel::ParallelExecutor& exec,
+                 LatencyModel latency)
     : sim_(sim),
       latency_(std::move(latency)),
-      grid_s_(latency_.grid_ms() / 1000.0) {}
+      grid_s_(latency_.grid_ms() / 1000.0),
+      exec_(exec) {}
 
 void Network::charge_only(MessageType type, Bits bits) {
   traffic_.charge(traffic_class_of(type), bits);
@@ -160,17 +161,7 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
       }
     }
   };
-  if (exec_ != nullptr) {
-    exec_->for_shards(count, kReceiverGrain, body);
-  } else {
-    // Inline fallback with the executor's exact shard decomposition,
-    // so a Network used without a pool is still bit-identical to one
-    // forked at any width.
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t begin = s * kReceiverGrain;
-      body(s, begin, std::min(count, begin + kReceiverGrain));
-    }
-  }
+  exec_.for_shards(count, kReceiverGrain, body);
 
   // Join, in shard order. Drops first (pure sums), then the session
   // reduces its stats scratch, then each shard's buffered work runs

@@ -78,7 +78,10 @@ class Network {
     void* serial_scratch = nullptr;
   };
 
-  Network(sim::Simulator& sim, LatencyModel latency);
+  /// Quantized buckets fork on `exec`; a single-thread executor runs
+  /// the same shard decomposition inline.
+  Network(sim::Simulator& sim, sim::parallel::ParallelExecutor& exec,
+          LatencyModel latency);
 
   /// Sends a message of `type` and `bits` from `from` to `to`; runs
   /// `on_delivery` after the one-way latency (+ extra_delay, e.g. the
@@ -179,12 +182,6 @@ class Network {
   /// Called from worker shards during a forked bucket dispatch, so it
   /// must only read state frozen for the bucket (liveness flags).
   void set_delivery_filter(std::function<bool(std::size_t to)> filter);
-
-  /// Installs the executor forked bucket dispatches run on. Without
-  /// one, quantized buckets dispatch inline through the IDENTICAL
-  /// shard structure (grouping, contexts, join order), so results
-  /// match a pooled run bit for bit.
-  void set_executor(sim::parallel::ParallelExecutor* exec) noexcept { exec_ = exec; }
 
   /// Installs the session's fork/join scratch hooks (see ShardHooks).
   void set_shard_hooks(ShardHooks hooks);
@@ -336,7 +333,7 @@ class Network {
   static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
 
   SimTime grid_s_ = 0.0;
-  sim::parallel::ParallelExecutor* exec_ = nullptr;
+  sim::parallel::ParallelExecutor& exec_;
   ShardHooks hooks_;
   /// Pending buckets by fire time. std::map: iteration order never
   /// matters (each bucket owns a proxy event), but deterministic

@@ -27,18 +27,6 @@ NodeId RendezvousServer::assign_id() {
 void RendezvousServer::register_node(NodeId id) {
   if (known_.contains(id)) return;
   known_.insert(id);
-  if (capacity_ != 0 && known_.size() > capacity_) {
-    // Partial list: evict a uniformly random entry that is not the one
-    // we just added.
-    const auto members = known_.members();
-    for (;;) {
-      const NodeId victim = members[rng_.next_below(members.size())];
-      if (victim != id) {
-        known_.erase(victim);
-        break;
-      }
-    }
-  }
 }
 
 void RendezvousServer::report_failure(NodeId id) {

@@ -1,5 +1,5 @@
 #pragma once
-// Event record and allocation-free action callable for the
+// Event handles and the allocation-free action callable for the
 // discrete-event engine.
 //
 // InlineAction<void(Args...)> is a move-only, small-buffer-optimized
@@ -19,8 +19,6 @@
 #include <new>
 #include <type_traits>
 #include <utility>
-
-#include "util/types.hpp"
 
 namespace continu::sim {
 
@@ -83,20 +81,27 @@ class InlineAction<void(Args...)> {
 
   /// Constructs a callable in place (destroying any current one)
   /// without routing through a temporary action — the zero-move path
-  /// the queue's slot pool uses.
+  /// the queue's slot pool uses. A pre-built action is moved in, not
+  /// wrapped: a nested action would outgrow the inline buffer.
   template <typename F>
   void emplace(F&& f) {
     using D = std::decay_t<F>;
     reset();
-    if constexpr (std::is_same_v<D, std::function<void(Args...)>>) {
-      if (!f) return;
-    }
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &OpsFor<D, /*Inline=*/true>::ops;
+    if constexpr (std::is_same_v<D, InlineAction>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "InlineAction is move-only: emplace(std::move(action))");
+      move_from(f);
     } else {
-      *reinterpret_cast<D**>(static_cast<void*>(buf_)) = new D(std::forward<F>(f));
-      ops_ = &OpsFor<D, /*Inline=*/false>::ops;
+      if constexpr (std::is_same_v<D, std::function<void(Args...)>>) {
+        if (!f) return;
+      }
+      if constexpr (fits_inline<D>()) {
+        ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+        ops_ = &OpsFor<D, /*Inline=*/true>::ops;
+      } else {
+        *reinterpret_cast<D**>(static_cast<void*>(buf_)) = new D(std::forward<F>(f));
+        ops_ = &OpsFor<D, /*Inline=*/false>::ops;
+      }
     }
   }
 
@@ -203,14 +208,5 @@ class InlineAction<void(Args...)> {
 
 /// The event queue's payload: a scheduled void() action.
 using EventAction = InlineAction<void()>;
-
-/// A popped event: fire order is (time, id) — earlier time first, FIFO
-/// (schedule order) among equal times, so runs are bit-for-bit
-/// reproducible.
-struct Event {
-  SimTime time = 0.0;
-  EventId id = kInvalidEvent;
-  EventAction action;
-};
 
 }  // namespace continu::sim

@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -17,15 +16,6 @@ std::uint32_t EventQueue::grow_pool() {
   return slot_count_++;
 }
 
-std::uint32_t EventQueue::acquire_slot() {
-  if (free_head_ != kNoFree) {
-    const std::uint32_t index = free_head_;
-    free_head_ = slot(index).next_free;
-    return index;
-  }
-  return grow_pool();
-}
-
 void EventQueue::release_slot(std::uint32_t index) noexcept {
   Slot& s = slot(index);
   s.id = kInvalidEvent;
@@ -33,28 +23,9 @@ void EventQueue::release_slot(std::uint32_t index) noexcept {
   free_head_ = index;
 }
 
-EventId EventQueue::push(SimTime time, EventAction action) {
-  if (!action) {
-    throw std::invalid_argument("EventQueue: empty action");
-  }
-  const std::uint32_t index = acquire_slot();
-  const EventId id = (next_seq_++ << kSlotBits) | index;
-  Slot& s = slot(index);
-  // Same publish-last ordering as emplace(): the slot id is set only
-  // once the entry and action are in place, so a heap_ allocation
-  // failure cannot leave a live-looking slot behind.
-  s.action = std::move(action);
-  heap_.push_back(HeapEntry{time, id});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  s.id = id;
-  ++live_;
-  if (live_ > peak_live_) peak_live_ = live_;
-  return id;
-}
-
 void EventQueue::push_all(std::vector<Deferred>& batch) {
   for (Deferred& deferred : batch) {
-    (void)push(deferred.time, std::move(deferred.action));
+    (void)emplace(deferred.time, std::move(deferred.action));
   }
   batch.clear();
 }
@@ -64,47 +35,12 @@ void EventQueue::remove_top() noexcept {
   heap_.pop_back();
 }
 
-void EventQueue::drop_dead_top() const {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slot(top.id & kSlotMask).id == top.id) return;  // live
-    const_cast<EventQueue*>(this)->remove_top();
-  }
-}
-
-Event EventQueue::take_top(HeapEntry top) {
-  const std::uint32_t index = top.id & kSlotMask;
-  Event out;
-  out.time = top.time;
-  out.id = top.id;
-  out.action = std::move(slot(index).action);
-  release_slot(index);
-  --live_;
-  remove_top();
-  return out;
-}
-
-Event EventQueue::pop() {
-  drop_dead_top();
-  if (heap_.empty()) {
-    throw std::logic_error("EventQueue::pop on empty queue");
-  }
-  return take_top(heap_.front());
-}
-
-bool EventQueue::pop_until(SimTime horizon, Event& out) {
-  drop_dead_top();
-  if (heap_.empty() || heap_.front().time > horizon) return false;
-  out = take_top(heap_.front());
-  return true;
-}
-
 bool EventQueue::acquire_due(SimTime horizon, DueEvent& out) {
   for (;;) {
     if (heap_.empty()) return false;
     const HeapEntry top = heap_.front();
-    // A stale (cancelled) top beyond the horizon is left in place —
-    // drop_dead_top() purges it whenever ordering queries need it.
+    // A stale (cancelled) top beyond the horizon is left in place; a
+    // later acquire with a wider horizon reaps it.
     if (top.time > horizon) return false;
     const std::uint32_t index = top.id & kSlotMask;
     Slot& s = slot(index);
@@ -157,14 +93,6 @@ bool EventQueue::cancel(EventId id) noexcept {
   release_slot(index);
   --live_;
   return true;
-}
-
-SimTime EventQueue::next_time() const {
-  drop_dead_top();
-  if (heap_.empty()) {
-    throw std::logic_error("EventQueue::next_time on empty queue");
-  }
-  return heap_.front().time;
 }
 
 }  // namespace continu::sim

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "sim/event.hpp"
+#include "util/types.hpp"
 
 namespace continu::sim {
 
@@ -43,13 +44,11 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `action` at `time`; returns the unique handle. The
-  /// action must be non-empty.
-  EventId push(SimTime time, EventAction action);
-
-  /// Hot scheduling path: constructs the callable directly in its pool
-  /// slot (zero moves, zero allocations for inline-sized captures).
-  /// The slot line is prefetched while the heap insertion runs.
+  /// The one insert: schedules `f` at `time` and returns the unique
+  /// handle. The callable is constructed directly in its pool slot
+  /// (zero moves, zero allocations for inline-sized captures; a
+  /// pre-built EventAction is moved in, not wrapped). The slot line is
+  /// prefetched while the heap insertion runs. Empty actions throw.
   template <typename F>
   EventId emplace(SimTime time, F&& f) {
     const std::uint32_t index = free_head_ != kNoFree ? free_head_ : grow_pool();
@@ -90,24 +89,19 @@ class EventQueue {
     EventAction action;
   };
 
-  /// Pushes every deferred emission in order (sequence numbers are
-  /// assigned here, at push time) and clears the batch. Entries with an
-  /// empty action are rejected like any other push.
+  /// Emplaces every deferred emission in order (sequence numbers are
+  /// assigned here, at insert time) and clears the batch. Entries with
+  /// an empty action are rejected like any other emplace.
   void push_all(std::vector<Deferred>& batch);
 
-  /// Pops the earliest live event. Requires !empty().
-  [[nodiscard]] Event pop();
-
-  /// Pops the earliest live event into `out` iff its time <= horizon.
-  /// Returns false (leaving `out` untouched) when the queue is empty
-  /// or the next event lies beyond the horizon.
-  bool pop_until(SimTime horizon, Event& out);
-
-  /// Zero-copy execution path for the simulator's run loop. A due
-  /// event is acquired (de-queued, de-registered so cancels no-op) and
-  /// then executed IN PLACE in its slot — the action is never moved.
-  /// Every acquire_due must be paired with exactly one
-  /// execute_and_release before the next acquire.
+  /// The one extract, as the simulator's run loop drives it. A due
+  /// event (the earliest live one, iff its time <= horizon) is
+  /// acquired — de-queued, de-registered so cancels no-op — and then
+  /// executed IN PLACE in its slot; the action is never moved.
+  /// acquire_due returns false when the queue is empty or the next
+  /// live event lies beyond the horizon. Every acquire_due must be
+  /// paired with exactly one execute_and_release before the next
+  /// acquire.
   struct DueEvent {
     SimTime time = 0.0;
     std::uint32_t slot_index = 0;
@@ -128,9 +122,6 @@ class EventQueue {
   /// High-water mark of live events since construction.
   [[nodiscard]] std::size_t peak_size() const noexcept { return peak_live_; }
 
-  /// Time of the earliest live event. Requires !empty().
-  [[nodiscard]] SimTime next_time() const;
-
  private:
   /// 16 bytes; the heap orders by (time, id) and id order among live
   /// entries is schedule order (the sequence occupies the high bits).
@@ -146,15 +137,12 @@ class EventQueue {
   };
 
   static constexpr std::uint32_t kNoFree = 0xFFFFFFFFu;
-  /// Slots per pool block. Blocks never move, so popped actions can be
-  /// relocated out even while an executing action schedules new events.
+  /// Slots per pool block. Blocks never move, so an action executing in
+  /// its slot stays put even while it schedules new events.
   static constexpr std::size_t kBlockShift = 9;
   static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
 
   [[nodiscard]] Slot& slot(std::uint32_t index) noexcept {
-    return blocks_[index >> kBlockShift][index & (kBlockSize - 1)];
-  }
-  [[nodiscard]] const Slot& slot(std::uint32_t index) const noexcept {
     return blocks_[index >> kBlockShift][index & (kBlockSize - 1)];
   }
 
@@ -168,22 +156,14 @@ class EventQueue {
     }
   };
 
-  [[nodiscard]] std::uint32_t acquire_slot();
   /// Appends a fresh slot (and a new block at block boundaries).
   [[nodiscard]] std::uint32_t grow_pool();
   void release_slot(std::uint32_t index) noexcept;
 
   void remove_top() noexcept;
-  /// Discards heap entries whose slot no longer carries their id
-  /// (cancelled, or the slot was freed and reused).
-  void drop_dead_top() const;
-  /// Extracts the validated top entry and frees its slot.
-  Event take_top(HeapEntry top);
 
   std::vector<std::unique_ptr<Slot[]>> blocks_;
-  // Mutable so next_time()/pop_until() can purge dead heads without
-  // changing observable state.
-  mutable std::vector<HeapEntry> heap_;
+  std::vector<HeapEntry> heap_;
   std::uint32_t free_head_ = kNoFree;
   std::uint32_t slot_count_ = 0;
   std::uint64_t next_seq_ = 1;

@@ -6,22 +6,6 @@
 
 namespace continu::sim {
 
-EventId Simulator::schedule_in(SimTime delay, EventAction action) {
-  if (!action) {
-    throw std::invalid_argument("Simulator: empty action");
-  }
-  if (delay < 0.0) delay = 0.0;
-  return queue_.push(now_ + delay, std::move(action));
-}
-
-EventId Simulator::schedule_at(SimTime when, EventAction action) {
-  if (!action) {
-    throw std::invalid_argument("Simulator: empty action");
-  }
-  if (when < now_) when = now_;
-  return queue_.push(when, std::move(action));
-}
-
 void Simulator::schedule_deferred(std::vector<EventQueue::Deferred>& batch) {
   for (EventQueue::Deferred& deferred : batch) {
     if (deferred.time < now_) deferred.time = now_;
@@ -52,10 +36,6 @@ std::size_t Simulator::run_until(SimTime horizon) {
 
 std::size_t Simulator::run_all() {
   return drain(std::numeric_limits<SimTime>::infinity());
-}
-
-bool Simulator::step() {
-  return execute_next(std::numeric_limits<SimTime>::infinity());
 }
 
 PeriodicProcess::PeriodicProcess(Simulator& sim, SimTime period, EventAction tick)

@@ -30,30 +30,24 @@ class Simulator {
   /// Current virtual time in seconds.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `action` to run at now() + delay (delay clamped to >= 0).
+  /// Schedules `f` to run at now() + delay (delay clamped to >= 0).
   /// Returns a handle usable with cancel(). Accepts any callable;
   /// captures up to EventAction::kInlineCapacity bytes never allocate
   /// (the callable is constructed directly in the queue's slot pool).
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventAction>>>
+  template <typename F>
   EventId schedule_in(SimTime delay, F&& f) {
     validate_callable(f);
     if (delay < 0.0) delay = 0.0;
     return queue_.emplace(now_ + delay, std::forward<F>(f));
   }
 
-  /// Schedules `action` at an absolute time (clamped to >= now()).
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventAction>>>
+  /// Schedules `f` at an absolute time (clamped to >= now()).
+  template <typename F>
   EventId schedule_at(SimTime when, F&& f) {
     validate_callable(f);
     if (when < now_) when = now_;
     return queue_.emplace(when, std::forward<F>(f));
   }
-
-  /// Overloads for pre-built actions.
-  EventId schedule_in(SimTime delay, EventAction action);
-  EventId schedule_at(SimTime when, EventAction action);
 
   /// Schedules a batch of deferred emissions in order (times clamped to
   /// >= now()) and clears the batch. This is the merge half of the
@@ -72,9 +66,6 @@ class Simulator {
   /// Runs until the queue is empty. Returns events executed.
   std::size_t run_all();
 
-  /// Executes exactly one event if available; returns whether one ran.
-  bool step();
-
   /// Live events still pending.
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
@@ -88,7 +79,8 @@ class Simulator {
 
  private:
   /// Rejects the one empty callable the API can meet (a null
-  /// std::function); arbitrary callables are always invocable.
+  /// std::function) before it reaches the queue; an empty EventAction
+  /// is rejected by the queue itself.
   template <typename F>
   static void validate_callable(const F& f) {
     if constexpr (std::is_same_v<std::decay_t<F>, std::function<void()>>) {

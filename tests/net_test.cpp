@@ -12,6 +12,7 @@
 #include "net/message.hpp"
 #include "net/network.hpp"
 #include "net/traffic.hpp"
+#include "sim/parallel/executor.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 
@@ -147,7 +148,8 @@ TEST(LatencyModel, RejectsEmptyAndNegativeFloor) {
 
 TEST(Network, DeliversAfterLatency) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 60.0}, 5.0));
   double delivered_at = -1.0;
   net.send(0, 1, MessageType::kPing, 80, [&] { delivered_at = sim.now(); });
   sim.run_all();
@@ -156,7 +158,8 @@ TEST(Network, DeliversAfterLatency) {
 
 TEST(Network, ExtraDelayAddsToLatency) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 60.0}, 5.0));
   double delivered_at = -1.0;
   net.send(0, 1, MessageType::kSegmentData, 30720, [&] { delivered_at = sim.now(); },
            /*extra_delay=*/0.2);
@@ -166,7 +169,8 @@ TEST(Network, ExtraDelayAddsToLatency) {
 
 TEST(Network, ChargesTrafficAtSendTime) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 60.0}, 5.0));
   net.send(0, 1, MessageType::kSegmentData, 30720, [] {});
   // Charged immediately, before delivery.
   EXPECT_EQ(net.traffic().bits(TrafficClass::kData), 30720u);
@@ -174,7 +178,8 @@ TEST(Network, ChargesTrafficAtSendTime) {
 
 TEST(Network, FilterDropsDeliveries) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 60.0}, 5.0));
   bool delivered = false;
   net.set_delivery_filter([](std::size_t) { return false; });
   net.send(0, 1, MessageType::kPing, 80, [&] { delivered = true; });
@@ -187,7 +192,8 @@ TEST(Network, FilterDropsDeliveries) {
 
 TEST(Network, FilterEvaluatedAtDeliveryTime) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 60.0}, 5.0));
   bool alive = true;
   bool delivered = false;
   net.set_delivery_filter([&](std::size_t) { return alive; });
@@ -200,7 +206,8 @@ TEST(Network, FilterEvaluatedAtDeliveryTime) {
 
 TEST(Network, ChargeOnlyCountsWithoutEvent) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 60.0}, 5.0));
   net.charge_only(MessageType::kBufferMap, 620);
   EXPECT_EQ(net.traffic().bits(TrafficClass::kControl), 620u);
   EXPECT_EQ(sim.pending(), 0u);
@@ -208,7 +215,8 @@ TEST(Network, ChargeOnlyCountsWithoutEvent) {
 
 TEST(Network, OrderedDeliveriesBetweenSamePair) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 60.0}, 5.0));
   std::vector<int> order;
   net.send(0, 1, MessageType::kPing, 80, [&] { order.push_back(1); });
   net.send(0, 1, MessageType::kPing, 80, [&] { order.push_back(2); });
@@ -342,8 +350,9 @@ TEST(LatencyModel, AverageSamplerSurvivesAdversarialIndexCorrelation) {
 
 TEST(Network, QuantizedSendSnapsDeliveryInstantUp) {
   sim::Simulator sim;
+  sim::parallel::ParallelExecutor exec(1);
   // Pings 10/17: one-way 7 ms -> 10 ms on the 5 ms grid.
-  Network net(sim, LatencyModel({10.0, 17.0}, 5.0, 5.0));
+  Network net(sim, exec, LatencyModel({10.0, 17.0}, 5.0, 5.0));
   double delivered_at = -1.0;
   net.send(0, 1, MessageType::kPing, 80, [&] { delivered_at = sim.now(); });
   sim.run_all();
@@ -360,8 +369,9 @@ TEST(Network, QuantizedSendSnapsDeliveryInstantUp) {
 
 TEST(Network, QuantizedCoInstantDeliveriesFormOneBatch) {
   sim::Simulator sim;
+  sim::parallel::ParallelExecutor exec(1);
   // All pairwise latencies floor to 5 ms -> one 5 ms grid bucket.
-  Network net(sim, LatencyModel({10.0, 11.0, 12.0, 13.0}, 5.0, 5.0));
+  Network net(sim, exec, LatencyModel({10.0, 11.0, 12.0, 13.0}, 5.0, 5.0));
   std::vector<std::uint32_t> delivered;
   std::vector<double> instants;
   for (std::uint32_t to = 1; to < 4; ++to) {
@@ -380,7 +390,8 @@ TEST(Network, QuantizedCoInstantDeliveriesFormOneBatch) {
 
 TEST(Network, QuantizedSamePairKeepsFifoWithinBucket) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
   std::vector<int> order;
   net.send_sharded(0, 1, MessageType::kPing, 80,
                    [&order](DeliveryContext&) { order.push_back(1); });
@@ -397,7 +408,8 @@ TEST(Network, QuantizedSamePairKeepsFifoWithinBucket) {
 
 TEST(Network, QuantizedFilterDropsAreCounted) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
   net.set_delivery_filter([](std::size_t to) { return to != 1; });
   int ran = 0;
   net.send_sharded(0, 1, MessageType::kPing, 80,
@@ -413,7 +425,8 @@ TEST(Network, QuantizedFilterDropsAreCounted) {
 
 TEST(Network, PostShardedSkipsChargeAndFilter) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0}, 5.0, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 11.0}, 5.0, 5.0));
   net.set_delivery_filter([](std::size_t) { return false; });
   double ran_at = -1.0;
   net.post_sharded(1, 0.0042, [&](DeliveryContext&) { ran_at = sim.now(); });
@@ -427,7 +440,8 @@ TEST(Network, PostShardedSkipsChargeAndFilter) {
 
 TEST(Network, ContinuousShardedPathsKeepExactTiming) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 60.0}, 5.0));  // continuous
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 60.0}, 5.0));  // continuous
   double delivered_at = -1.0;
   double forwarded_at = -1.0;
   bool deferred_ran_inline = false;
@@ -450,7 +464,8 @@ TEST(Network, ContinuousShardedPathsKeepExactTiming) {
 
 TEST(Network, QuantizedForwardChainsAcrossBuckets) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0}, 5.0, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 11.0}, 5.0, 5.0));
   std::vector<double> hops;
   net.send_sharded(0, 1, MessageType::kPing, 80, [&](DeliveryContext& ctx) {
     hops.push_back(sim.now());
@@ -472,7 +487,8 @@ TEST(Network, QuantizedForwardChainsAcrossBuckets) {
 
 TEST(Network, QuantizedDeferSettlesAfterWholeBucket) {
   sim::Simulator sim;
-  Network net(sim, LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
+  sim::parallel::ParallelExecutor exec(1);
+  Network net(sim, exec, LatencyModel({10.0, 11.0, 12.0}, 5.0, 5.0));
   std::vector<std::string> log;
   for (std::uint32_t to = 1; to < 3; ++to) {
     net.send_sharded(0, to, MessageType::kPing, 80, [&log, to](DeliveryContext& ctx) {

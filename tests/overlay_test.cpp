@@ -214,16 +214,6 @@ TEST(Rendezvous, CloseNodesOnEmptyList) {
   EXPECT_TRUE(rp.close_nodes(10, 3).empty());
 }
 
-TEST(Rendezvous, PartialListCapacityEnforced) {
-  const dht::IdSpace space(1024);
-  RendezvousServer rp(space, util::Rng(7));
-  rp.set_capacity(10);
-  for (int i = 0; i < 50; ++i) {
-    rp.register_node(rp.assign_id());
-  }
-  EXPECT_LE(rp.known_count(), 10u);
-}
-
 TEST(Rendezvous, ReportFailureRemovesFromList) {
   const dht::IdSpace space(256);
   RendezvousServer rp(space, util::Rng(8));

@@ -23,6 +23,7 @@
 #include "net/network.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/scenario.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/parallel/deferred.hpp"
 #include "sim/parallel/executor.hpp"
 #include "sim/round_scheduler.hpp"
@@ -33,7 +34,6 @@
 namespace continu {
 namespace {
 
-using sim::parallel::EmissionBuffer;
 using sim::parallel::ParallelExecutor;
 
 // ---------------------------------------------------------------------------
@@ -195,23 +195,26 @@ TEST(ParallelExecutor, ExceptionPropagatesLowestShardFirst) {
 // Deferred-emission API
 // ---------------------------------------------------------------------------
 
+using Emissions = std::vector<sim::EventQueue::Deferred>;
+
 TEST(DeferredEmissions, MergedBuffersReproduceSerialSequence) {
-  // Two shard buffers merged in shard order must execute in exactly the
-  // order a serial loop over (shard 0 entries, shard 1 entries) would —
-  // including FIFO among equal times, which is what sequence numbers
-  // encode.
+  // Two shard buffers scheduled in shard order must execute in exactly
+  // the order a serial loop over (shard 0 entries, shard 1 entries)
+  // would — including FIFO among equal times, which is what sequence
+  // numbers encode.
   sim::Simulator sim;
   std::vector<int> order;
-  EmissionBuffer shard0;
-  EmissionBuffer shard1;
-  shard0.defer_at(1.0, [&order] { order.push_back(0); });
-  shard0.defer_at(2.0, [&order] { order.push_back(1); });
-  shard1.defer_at(1.0, [&order] { order.push_back(2); });  // ties with #0
-  shard1.defer_at(0.5, [&order] { order.push_back(3); });
-  EXPECT_EQ(shard0.size(), 2u);
-  shard0.flush_into(sim);
-  shard1.flush_into(sim);
+  Emissions shard0;
+  Emissions shard1;
+  shard0.push_back({1.0, [&order] { order.push_back(0); }});
+  shard0.push_back({2.0, [&order] { order.push_back(1); }});
+  shard1.push_back({1.0, [&order] { order.push_back(2); }});  // ties with #0
+  shard1.push_back({0.5, [&order] { order.push_back(3); }});
+  sim.schedule_deferred(shard0);
+  sim.schedule_deferred(shard1);
   EXPECT_TRUE(shard0.empty());
+  EXPECT_TRUE(shard1.empty());
+  EXPECT_EQ(sim.pending(), 4u);
   sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{3, 0, 2, 1}));
 }
@@ -221,10 +224,10 @@ TEST(DeferredEmissions, PastTimesClampToNow) {
   sim.schedule_in(5.0, [] {});
   sim.run_all();
   ASSERT_DOUBLE_EQ(sim.now(), 5.0);
-  EmissionBuffer buffer;
+  Emissions buffer;
   bool ran = false;
-  buffer.defer_at(1.0, [&ran] { ran = true; });  // in the past
-  buffer.flush_into(sim);
+  buffer.push_back({1.0, [&ran] { ran = true; }});  // in the past
+  sim.schedule_deferred(buffer);
   sim.run_all();
   EXPECT_TRUE(ran);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
@@ -313,11 +316,13 @@ TEST(SessionThreads, ResultsBitIdenticalAcrossThreadCounts) {
   tc.seed = 21;
   const auto snapshot = trace::generate_snapshot(tc);
 
-  const auto fingerprint_at = [&snapshot](unsigned threads, bool churn) {
+  const auto fingerprint_at = [&snapshot](unsigned threads, bool churn,
+                                          core::SchedulerKind scheduler) {
     core::SystemConfig config;
     config.seed = 42;
     config.threads = threads;
     config.churn_enabled = churn;
+    config.scheduler = scheduler;
     runner::ReplicationSpec spec;
     spec.config = config;
     spec.snapshot = std::make_shared<const trace::TraceSnapshot>(snapshot);
@@ -326,11 +331,17 @@ TEST(SessionThreads, ResultsBitIdenticalAcrossThreadCounts) {
     return runner::result_fingerprint(runner::ExperimentRunner::run_one(spec));
   };
 
-  for (const bool churn : {false, true}) {
-    const std::uint64_t reference = fingerprint_at(1, churn);
-    for (const unsigned threads : {2u, 4u, 8u}) {
-      EXPECT_EQ(fingerprint_at(threads, churn), reference)
-          << "threads " << threads << " churn " << churn;
+  // GridMedia's push relay is the one delivery handler that defers a
+  // shared-RNG action through ctx.defer.
+  for (const auto scheduler : {core::SchedulerKind::kContinuStreaming,
+                               core::SchedulerKind::kGridMediaPushPull}) {
+    for (const bool churn : {false, true}) {
+      const std::uint64_t reference = fingerprint_at(1, churn, scheduler);
+      for (const unsigned threads : {2u, 4u, 8u}) {
+        EXPECT_EQ(fingerprint_at(threads, churn, scheduler), reference)
+            << "threads " << threads << " churn " << churn << " scheduler "
+            << static_cast<int>(scheduler);
+      }
     }
   }
 }
@@ -345,19 +356,22 @@ TEST(QuantizedDelivery, SessionsBitIdenticalAcrossThreadCounts) {
   // through receiver-sharded bucket dispatches, and the fingerprint
   // must STILL be a pure function of (seed, config, trace). Covers
   // static and churn (drops exercise the per-shard drop buffers) at
-  // two grid sizes.
+  // two grid sizes, under ContinuStreaming and under GridMedia, whose
+  // push relay defers a shared-RNG action through ctx.defer.
   trace::GeneratorConfig tc;
   tc.node_count = 200;
   tc.seed = 21;
   const auto snapshot = trace::generate_snapshot(tc);
 
   const auto fingerprint_at = [&snapshot](unsigned threads, bool churn,
-                                          double grid_ms) {
+                                          double grid_ms,
+                                          core::SchedulerKind scheduler) {
     core::SystemConfig config;
     config.seed = 42;
     config.threads = threads;
     config.churn_enabled = churn;
     config.latency_grid_ms = grid_ms;
+    config.scheduler = scheduler;
     runner::ReplicationSpec spec;
     spec.config = config;
     spec.snapshot = std::make_shared<const trace::TraceSnapshot>(snapshot);
@@ -366,26 +380,29 @@ TEST(QuantizedDelivery, SessionsBitIdenticalAcrossThreadCounts) {
     return runner::result_fingerprint(runner::ExperimentRunner::run_one(spec));
   };
 
-  for (const double grid_ms : {1.0, 5.0}) {
-    for (const bool churn : {false, true}) {
-      const std::uint64_t reference = fingerprint_at(1, churn, grid_ms);
-      for (const unsigned threads : {2u, 4u, 8u}) {
-        EXPECT_EQ(fingerprint_at(threads, churn, grid_ms), reference)
-            << "threads " << threads << " churn " << churn << " grid "
-            << grid_ms;
+  for (const auto scheduler : {core::SchedulerKind::kContinuStreaming,
+                               core::SchedulerKind::kGridMediaPushPull}) {
+    for (const double grid_ms : {1.0, 5.0}) {
+      for (const bool churn : {false, true}) {
+        const std::uint64_t reference = fingerprint_at(1, churn, grid_ms, scheduler);
+        for (const unsigned threads : {2u, 4u, 8u}) {
+          EXPECT_EQ(fingerprint_at(threads, churn, grid_ms, scheduler), reference)
+              << "threads " << threads << " churn " << churn << " grid "
+              << grid_ms << " scheduler " << static_cast<int>(scheduler);
+        }
       }
     }
   }
 }
 
-TEST(QuantizedDelivery, ForkedBucketMatchesInlineFallback) {
+TEST(QuantizedDelivery, ForkedBucketMatchesSingleThreadExecutor) {
   // Network-level equivalence: the same delivery schedule dispatched
-  // with a real worker pool and with NO executor (the inline fallback)
-  // must produce identical per-receiver handler sequences, identical
-  // join-replay order, and identical drop counts — the fallback
-  // replicates the executor's exact shard decomposition.
+  // on a four-thread pool and on a single-thread executor (which runs
+  // the same shard decomposition inline) must produce identical
+  // per-receiver handler sequences, identical join-replay order, and
+  // identical drop counts.
   const auto run_with =
-      [](sim::parallel::ParallelExecutor* exec) {
+      [](sim::parallel::ParallelExecutor& exec) {
         sim::Simulator sim;
         // 40 nodes, all pairwise latencies floored -> one big bucket
         // of 39 receiver groups across several shards (grain 8).
@@ -393,8 +410,7 @@ TEST(QuantizedDelivery, ForkedBucketMatchesInlineFallback) {
         for (std::size_t i = 0; i < pings.size(); ++i) {
           pings[i] = 10.0 + 0.001 * static_cast<double>(i);
         }
-        net::Network net(sim, net::LatencyModel(std::move(pings), 5.0, 5.0));
-        if (exec != nullptr) net.set_executor(exec);
+        net::Network net(sim, exec, net::LatencyModel(std::move(pings), 5.0, 5.0));
         // Drop every 7th receiver, as churn would.
         net.set_delivery_filter([](std::size_t to) { return to % 7 != 0; });
 
@@ -424,8 +440,9 @@ TEST(QuantizedDelivery, ForkedBucketMatchesInlineFallback) {
       };
 
   sim::parallel::ParallelExecutor pool(4);
-  const auto forked = run_with(&pool);
-  const auto inline_run = run_with(nullptr);
+  sim::parallel::ParallelExecutor single(1);
+  const auto forked = run_with(pool);
+  const auto inline_run = run_with(single);
 
   EXPECT_EQ(forked.hits, inline_run.hits);
   EXPECT_EQ(forked.joined, inline_run.joined);
@@ -433,7 +450,7 @@ TEST(QuantizedDelivery, ForkedBucketMatchesInlineFallback) {
   EXPECT_EQ(forked.batches, inline_run.batches);
   EXPECT_EQ(forked.dropped, 5u);  // receivers 7, 14, 21, 28, 35
   // Join replay is shard-major, schedule-ordered within a shard — and
-  // identical whether or not a pool ran the shards.
+  // identical whether one thread or four ran the shards.
   ASSERT_EQ(forked.joined.size(), 34u);
 }
 

@@ -472,6 +472,66 @@ TEST(SystemConfigValidate, RejectsBurstRateOutsideUnitInterval) {
   expect_rejected(config, "fault.burst_rate");
 }
 
+TEST(SystemConfigValidate, RejectsNegativeBurstPeriod) {
+  auto config = small_config(1);
+  config.fault.burst_period = -10.0;
+  expect_rejected(config, "fault.burst_period");
+}
+
+TEST(SystemConfigValidate, RejectsNegativeBurstDuration) {
+  auto config = small_config(1);
+  config.fault.burst_duration = -2.0;
+  expect_rejected(config, "fault.burst_duration");
+}
+
+TEST(SystemConfigValidate, RejectsBurstRateWithZeroPeriod) {
+  // Never bursts: the injector only bursts on a positive period.
+  auto config = small_config(1);
+  config.fault.burst_rate = 0.25;
+  config.fault.burst_duration = 2.0;
+  expect_rejected(config, "fault.burst_period");
+}
+
+TEST(SystemConfigValidate, RejectsBurstRateWithZeroDuration) {
+  // Never bursts: no phase of the period lies in [0, 0).
+  auto config = small_config(1);
+  config.fault.burst_rate = 0.25;
+  config.fault.burst_period = 10.0;
+  expect_rejected(config, "fault.burst_duration");
+}
+
+TEST(SystemConfigValidate, RejectsBurstDurationCoveringThePeriod) {
+  // Always bursting: every phase of the period lies in the episode.
+  auto config = small_config(1);
+  config.fault.burst_rate = 0.25;
+  config.fault.burst_period = 10.0;
+  config.fault.burst_duration = 10.0;
+  expect_rejected(config, "fault.burst_duration");
+  config.fault.burst_duration = 12.0;
+  expect_rejected(config, "fault.burst_duration");
+}
+
+TEST(SystemConfigValidate, RejectsBurstPeriodWithoutBurstRate) {
+  auto config = small_config(1);
+  config.fault.burst_period = 10.0;
+  expect_rejected(config, "fault.burst_period");
+}
+
+TEST(SystemConfigValidate, RejectsBurstDurationWithoutBurstRate) {
+  auto config = small_config(1);
+  config.fault.burst_duration = 2.0;
+  expect_rejected(config, "fault.burst_duration");
+}
+
+TEST(SystemConfigValidate, AcceptsTheFaultFamilyBurstPlan) {
+  // The f5_ family's bursts: 25 % loss for 2 s of every 10 s.
+  auto config = small_config(1);
+  config.fault.burst_rate = 0.25;
+  config.fault.burst_period = 10.0;
+  config.fault.burst_duration = 2.0;
+  EXPECT_NO_THROW(config.validate());
+}
+
 TEST(SystemConfigValidate, RejectsNegativeSpikeDuration) {
   auto config = small_config(1);
   config.fault.spikes.push_back({/*start=*/5.0, /*duration=*/-1.0, /*extra_ms=*/50.0});

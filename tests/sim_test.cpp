@@ -8,7 +8,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "net/latency_model.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/parallel/executor.hpp"
 #include "sim/round_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -44,7 +47,8 @@ struct DeliveryActionCase {
   template <typename Body>
   static void with_context(Body body) {
     Simulator sim;
-    net::Network network(sim, net::LatencyModel({10.0, 11.0}));
+    parallel::ParallelExecutor exec(1);
+    net::Network network(sim, exec, net::LatencyModel({10.0, 11.0}));
     network.post_sharded(0, 0.0, [&body](net::DeliveryContext& ctx) { body(ctx); });
     sim.run_all();
   }
@@ -107,6 +111,23 @@ TYPED_TEST(InlineActionTest, MoveTransfersOwnership) {
   EXPECT_EQ(order.size(), 3u);
 }
 
+TYPED_TEST(InlineActionTest, EmplacingAnActionMovesItIn) {
+  // The queue's deferred-emission path emplaces pre-built actions. One
+  // must be moved in, not wrapped: a wrapped action is larger than the
+  // inline buffer and would cost a heap cell.
+  using Action = typename TypeParam::Action;
+  int hits = 0;
+  std::array<std::uint64_t, 6> payload{};
+  Action source([&hits, payload](auto&...) { hits += static_cast<int>(payload[0]) + 1; });
+  ASSERT_TRUE(source.stored_inline());
+  Action target;
+  target.emplace(std::move(source));
+  EXPECT_TRUE(target.stored_inline());
+  EXPECT_FALSE(static_cast<bool>(source));  // NOLINT(bugprone-use-after-move)
+  TypeParam::call(target);
+  EXPECT_EQ(hits, 1);
+}
+
 TYPED_TEST(InlineActionTest, NonTrivialCapturesDestructRight) {
   using Action = typename TypeParam::Action;
   auto counter = std::make_shared<int>(0);
@@ -156,88 +177,141 @@ TYPED_TEST(InlineActionTest, ConsumeRunsOnceAndDestroysEvenOnThrow) {
   EXPECT_EQ(counter.use_count(), 1);
 }
 
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue q;
-  std::vector<double> popped;
-  q.push(3.0, [] {});
-  q.push(1.0, [] {});
-  q.push(2.0, [] {});
-  while (!q.empty()) popped.push_back(q.pop().time);
-  EXPECT_EQ(popped, (std::vector<double>{1.0, 2.0, 3.0}));
+// The EventQueue cases drive the queue through the same insert
+// (emplace) and extract (acquire_due + execute_and_release) the
+// Simulator's run loop uses. Each action logs its tag; run_next runs
+// one due event and returns the tag it logged.
+struct TaggedQueue {
+  EventQueue queue;
+  std::vector<int> log;
+
+  EventId add(SimTime time, int tag) {
+    return queue.emplace(time, [this, tag] { log.push_back(tag); });
+  }
+
+  /// Runs the earliest live event due by `horizon`; nullopt when none is.
+  std::optional<int> run_next(SimTime horizon = kForever) {
+    EventQueue::DueEvent due;
+    if (!queue.acquire_due(horizon, due)) return std::nullopt;
+    const std::size_t before = log.size();
+    queue.execute_and_release(due);
+    EXPECT_EQ(log.size(), before + 1) << "each action logs exactly one tag";
+    return log.back();
+  }
+
+  std::vector<int> drain() {
+    std::vector<int> tags;
+    while (const auto tag = run_next()) tags.push_back(*tag);
+    return tags;
+  }
+
+  static constexpr SimTime kForever = std::numeric_limits<SimTime>::infinity();
+};
+
+TEST(EventQueue, RunsInTimeOrder) {
+  TaggedQueue q;
+  q.add(3.0, 3);
+  q.add(1.0, 1);
+  q.add(2.0, 2);
+  EXPECT_EQ(q.drain(), (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(q.queue.empty());
 }
 
 TEST(EventQueue, FifoAmongEqualTimes) {
-  EventQueue q;
-  const EventId a = q.push(1.0, [] {});
-  const EventId b = q.push(1.0, [] {});
-  const EventId c = q.push(1.0, [] {});
+  TaggedQueue q;
+  const EventId a = q.add(1.0, 0);
+  const EventId b = q.add(1.0, 1);
+  const EventId c = q.add(1.0, 2);
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
-  std::vector<EventId> order;
-  while (!q.empty()) order.push_back(q.pop().id);
-  EXPECT_EQ(order, (std::vector<EventId>{a, b, c}));
+  EXPECT_EQ(q.drain(), (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EventQueue, CancelPendingEvent) {
-  EventQueue q;
-  const EventId a = q.push(1.0, [] {});
-  const EventId b = q.push(2.0, [] {});
-  EXPECT_TRUE(q.cancel(a));
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.pop().id, b);
+  TaggedQueue q;
+  const EventId a = q.add(1.0, 0);
+  q.add(2.0, 1);
+  EXPECT_TRUE(q.queue.cancel(a));
+  EXPECT_EQ(q.queue.size(), 1u);
+  EXPECT_EQ(q.drain(), (std::vector<int>{1}));
 }
 
 TEST(EventQueue, CancelUnknownIsNoOp) {
-  EventQueue q;
-  q.push(1.0, [] {});
-  EXPECT_FALSE(q.cancel(kInvalidEvent));
-  EXPECT_FALSE(q.cancel(0xFFFFFF000000ULL));  // never-issued id
-  EXPECT_EQ(q.size(), 1u);
+  TaggedQueue q;
+  q.add(1.0, 0);
+  EXPECT_FALSE(q.queue.cancel(kInvalidEvent));
+  EXPECT_FALSE(q.queue.cancel(0xFFFFFF000000ULL));  // never-issued id
+  EXPECT_EQ(q.queue.size(), 1u);
 }
 
 TEST(EventQueue, CancelFiredIsNoOp) {
+  TaggedQueue q;
+  const EventId id = q.add(1.0, 0);
+  EXPECT_EQ(q.run_next(), 0);
+  EXPECT_FALSE(q.queue.cancel(id));
+  EXPECT_TRUE(q.queue.empty());
+}
+
+TEST(EventQueue, CancelOfRunningEventIsNoOp) {
+  // acquire_due de-registers the event before it runs, so an action
+  // cancelling its own id changes nothing.
   EventQueue q;
-  const EventId id = q.push(1.0, [] {});
-  (void)q.pop();
-  EXPECT_FALSE(q.cancel(id));
+  EventId self = kInvalidEvent;
+  bool cancelled = true;
+  self = q.emplace(1.0, [&] { cancelled = q.cancel(self); });
+  EventQueue::DueEvent due;
+  ASSERT_TRUE(q.acquire_due(1.0, due));
+  q.execute_and_release(due);
+  EXPECT_FALSE(cancelled);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, DoubleCancelCountsOnce) {
-  EventQueue q;
-  const EventId a = q.push(1.0, [] {});
-  q.push(2.0, [] {});
-  EXPECT_TRUE(q.cancel(a));
-  EXPECT_FALSE(q.cancel(a));
-  EXPECT_EQ(q.size(), 1u);
+  TaggedQueue q;
+  const EventId a = q.add(1.0, 0);
+  q.add(2.0, 1);
+  EXPECT_TRUE(q.queue.cancel(a));
+  EXPECT_FALSE(q.queue.cancel(a));
+  EXPECT_EQ(q.queue.size(), 1u);
 }
 
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId a = q.push(1.0, [] {});
-  q.push(5.0, [] {});
-  q.cancel(a);
-  EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
+TEST(EventQueue, AcquireDueSkipsCancelled) {
+  TaggedQueue q;
+  const EventId a = q.add(1.0, 1);
+  const EventId b = q.add(2.0, 2);
+  q.add(5.0, 5);
+  q.queue.cancel(a);
+  q.queue.cancel(b);
+  // The cancelled heads are reaped on the way to the first live event,
+  // which lies beyond this horizon.
+  EXPECT_EQ(q.run_next(3.0), std::nullopt);
+  EXPECT_EQ(q.queue.size(), 1u);
+  EXPECT_EQ(q.run_next(5.0), 5);
 }
 
-TEST(EventQueue, PopOnEmptyThrows) {
+TEST(EventQueue, AcquireDueOnEmptyQueueReturnsFalse) {
   EventQueue q;
-  EXPECT_THROW((void)q.pop(), std::logic_error);
+  EventQueue::DueEvent due;
+  EXPECT_FALSE(q.acquire_due(TaggedQueue::kForever, due));
+  // A queue whose only event was cancelled is empty too.
+  const EventId id = q.emplace(1.0, [] {});
+  q.cancel(id);
+  EXPECT_FALSE(q.acquire_due(TaggedQueue::kForever, due));
 }
 
 TEST(EventQueue, EmptyActionRejectedConsistently) {
-  EventQueue q;
-  EXPECT_THROW((void)q.emplace(1.0, std::function<void()>{}), std::invalid_argument);
-  EXPECT_THROW((void)q.push(1.0, EventAction{}), std::invalid_argument);
-  EXPECT_TRUE(q.empty());
-  // The queue stays usable: the reaped heap entry must not disturb
+  TaggedQueue q;
+  EXPECT_THROW((void)q.queue.emplace(1.0, std::function<void()>{}), std::invalid_argument);
+  EXPECT_THROW((void)q.queue.emplace(1.0, EventAction{}), std::invalid_argument);
+  std::vector<EventQueue::Deferred> batch;
+  batch.push_back({1.0, EventAction{}});
+  EXPECT_THROW(q.queue.push_all(batch), std::invalid_argument);
+  EXPECT_TRUE(q.queue.empty());
+  // The queue stays usable: the reaped heap entries must not disturb
   // later scheduling.
-  bool fired = false;
-  (void)q.emplace(2.0, [&fired] { fired = true; });
-  Event e = q.pop();
-  e.action();
-  EXPECT_TRUE(fired);
-  EXPECT_TRUE(q.empty());
+  q.add(2.0, 7);
+  EXPECT_EQ(q.drain(), (std::vector<int>{7}));
+  EXPECT_TRUE(q.queue.empty());
 }
 
 TEST(Simulator, ThrowingActionLeavesQueueConsistent) {
@@ -253,74 +327,68 @@ TEST(Simulator, ThrowingActionLeavesQueueConsistent) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
-TEST(EventQueue, PopUntilRespectsHorizon) {
-  EventQueue q;
-  q.push(1.0, [] {});
-  q.push(3.0, [] {});
-  Event e;
-  EXPECT_TRUE(q.pop_until(2.0, e));
-  EXPECT_DOUBLE_EQ(e.time, 1.0);
-  EXPECT_FALSE(q.pop_until(2.0, e));
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.pop_until(3.0, e));
-  EXPECT_FALSE(q.pop_until(100.0, e));
+TEST(EventQueue, AcquireDueStopsAtHorizon) {
+  TaggedQueue q;
+  q.add(1.0, 1);
+  q.add(3.0, 3);
+  EXPECT_EQ(q.run_next(2.0), 1);
+  EXPECT_EQ(q.run_next(2.0), std::nullopt);
+  EXPECT_EQ(q.queue.size(), 1u);
+  EXPECT_EQ(q.run_next(3.0), 3);  // an event at exactly the horizon is due
+  EXPECT_EQ(q.run_next(100.0), std::nullopt);
 }
 
-// Generation stamping: a slot freed by pop or cancel and reused by a
-// later push must reject the stale id — the regression the slot-pool
-// design exists to prevent.
+// Generation stamping: a slot freed by execution or cancel and reused
+// by a later emplace must reject the stale id — the regression the
+// slot-pool design exists to prevent.
 TEST(EventQueue, StaleCancelCannotKillSlotReuser) {
-  EventQueue q;
-  const EventId old_id = q.push(1.0, [] {});
-  (void)q.pop();  // frees the slot
-  bool fired = false;
-  const EventId new_id = q.push(2.0, [&fired] { fired = true; });
+  TaggedQueue q;
+  const EventId old_id = q.add(1.0, 1);
+  EXPECT_EQ(q.run_next(), 1);  // frees the slot
+  const EventId new_id = q.add(2.0, 2);
   EXPECT_EQ(old_id & EventQueue::kSlotMask, new_id & EventQueue::kSlotMask)
       << "test premise: the slot must be reused";
   EXPECT_NE(old_id, new_id);
-  EXPECT_FALSE(q.cancel(old_id)) << "stale cancel must be a no-op";
-  EXPECT_EQ(q.size(), 1u);
-  Event e = q.pop();
-  EXPECT_EQ(e.id, new_id);
-  e.action();
-  EXPECT_TRUE(fired);
+  EXPECT_FALSE(q.queue.cancel(old_id)) << "stale cancel must be a no-op";
+  EXPECT_EQ(q.queue.size(), 1u);
+  EXPECT_EQ(q.run_next(), 2);
 }
 
 TEST(EventQueue, StaleCancelAfterCancelAndReuse) {
-  EventQueue q;
-  const EventId old_id = q.push(5.0, [] {});
-  EXPECT_TRUE(q.cancel(old_id));
-  const EventId new_id = q.push(7.0, [] {});
+  TaggedQueue q;
+  const EventId old_id = q.add(5.0, 5);
+  EXPECT_TRUE(q.queue.cancel(old_id));
+  const EventId new_id = q.add(7.0, 7);
   EXPECT_EQ(old_id & EventQueue::kSlotMask, new_id & EventQueue::kSlotMask);
-  EXPECT_FALSE(q.cancel(old_id));
-  EXPECT_EQ(q.pop().id, new_id);
+  EXPECT_FALSE(q.queue.cancel(old_id));
+  EXPECT_EQ(q.run_next(), 7);
 }
 
 TEST(EventQueue, PeakSizeTracksHighWaterMark) {
-  EventQueue q;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 8; ++i) ids.push_back(q.push(i, [] {}));
-  for (int i = 0; i < 4; ++i) (void)q.pop();
-  q.push(99.0, [] {});
-  EXPECT_EQ(q.peak_size(), 8u);
-  EXPECT_EQ(q.size(), 5u);
+  TaggedQueue q;
+  for (int i = 0; i < 8; ++i) q.add(i, i);
+  for (int i = 0; i < 4; ++i) (void)q.run_next();
+  q.add(99.0, 99);
+  EXPECT_EQ(q.queue.peak_size(), 8u);
+  EXPECT_EQ(q.queue.size(), 5u);
 }
 
-// Property test: N randomized schedule/cancel/pop interleavings must
+// Property test: N randomized schedule/cancel/run interleavings must
 // produce exactly the execution order of a reference model (stable
-// sort by (time, schedule order), minus cancelled entries).
+// sort by (time, schedule order), minus cancelled entries). Tags are
+// schedule positions, so model[tag] is the entry an executed tag names.
 TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
   struct ModelEntry {
     double time;
     EventId id;
     bool cancelled = false;
+    bool executed = false;
   };
   util::Rng rng(0xE7E77u);
   for (int trial = 0; trial < 100; ++trial) {
-    EventQueue q;
-    std::vector<ModelEntry> model;   // schedule order
-    std::vector<EventId> executed;   // ids popped from the queue
-    std::vector<EventId> live;       // candidates for cancellation
+    TaggedQueue q;
+    std::vector<ModelEntry> model;   // schedule order; index = tag
+    std::vector<int> live;           // tags that are candidates for cancellation
 
     const int ops = 120;
     for (int op = 0; op < ops; ++op) {
@@ -328,91 +396,65 @@ TEST(EventQueue, RandomizedInterleavingsMatchReferenceModel) {
       if (roll < 0.55) {
         // Schedule at a coarse-grained time so equal-time ties are common.
         const double time = static_cast<double>(rng.next_below(16));
-        const EventId id = q.push(time, [] {});
-        model.push_back(ModelEntry{time, id});
-        live.push_back(id);
+        const int tag = static_cast<int>(model.size());
+        model.push_back(ModelEntry{time, q.add(time, tag)});
+        live.push_back(tag);
       } else if (roll < 0.75 && !live.empty()) {
-        // Cancel a random outstanding id (may already be popped).
-        const std::size_t pick = rng.next_below(live.size());
-        const EventId id = live[pick];
-        const bool was_pending = q.cancel(id);
-        for (auto& entry : model) {
-          if (entry.id != id) continue;
-          const bool already_done =
-              std::find(executed.begin(), executed.end(), id) != executed.end();
-          EXPECT_EQ(was_pending, !already_done && !entry.cancelled);
-          if (was_pending) entry.cancelled = true;
+        // Cancel a random outstanding id (may already have run).
+        ModelEntry& entry = model[live[rng.next_below(live.size())]];
+        const bool was_pending = q.queue.cancel(entry.id);
+        EXPECT_EQ(was_pending, !entry.executed && !entry.cancelled);
+        if (was_pending) entry.cancelled = true;
+      } else if (const auto tag = q.run_next()) {
+        // The event run must be the pending minimum by (time, id).
+        ModelEntry& ran = model[static_cast<std::size_t>(*tag)];
+        EXPECT_FALSE(ran.cancelled);
+        EXPECT_FALSE(ran.executed);
+        for (const ModelEntry& other : model) {
+          if (other.cancelled || other.executed || &other == &ran) continue;
+          EXPECT_TRUE(ran.time < other.time ||
+                      (ran.time == other.time && ran.id < other.id))
+              << "trial " << trial;
         }
-      } else if (!q.empty()) {
-        executed.push_back(q.pop().id);
+        ran.executed = true;
       }
     }
-    while (!q.empty()) executed.push_back(q.pop().id);
+    const std::vector<int> rest = q.drain();
 
-    // Reference order: stable sort by time (ids are schedule order),
-    // skipping cancelled entries. Pops interleaved with pushes only ever
-    // remove the current minimum, so the global pop sequence must still
-    // respect (time, id) order among the events each pop could see —
-    // and the FULL drain at the end makes the total sets comparable.
-    std::vector<ModelEntry> expected(model);
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const ModelEntry& a, const ModelEntry& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.id < b.id;
-                     });
-    std::vector<EventId> expected_ids;
-    for (const auto& entry : expected) {
-      if (!entry.cancelled) expected_ids.push_back(entry.id);
+    // Reference order of the final drain: stable sort of what is still
+    // pending by time (tags are schedule order), skipping cancelled
+    // and already-run entries.
+    std::vector<int> expected;
+    for (int tag = 0; tag < static_cast<int>(model.size()); ++tag) {
+      const ModelEntry& entry = model[static_cast<std::size_t>(tag)];
+      if (!entry.cancelled && !entry.executed) expected.push_back(tag);
     }
-    // Interleaved pops always remove the pending minimum, so the full
-    // run must execute exactly the non-cancelled multiset...
-    std::vector<EventId> sorted_exec(executed);
-    std::sort(sorted_exec.begin(), sorted_exec.end());
-    std::vector<EventId> sorted_expect(expected_ids);
-    std::sort(sorted_expect.begin(), sorted_expect.end());
-    ASSERT_EQ(sorted_exec, sorted_expect) << "trial " << trial;
-
-    // ...and replaying the same schedule/cancel sequence with no
-    // interleaved pops must drain in exactly the reference order.
-    EventQueue q2;
-    std::vector<std::pair<EventId, EventId>> idmap;  // original -> new
-    for (const auto& entry : model) {
-      const EventId nid = q2.push(entry.time, [] {});
-      idmap.emplace_back(entry.id, nid);
-    }
-    for (std::size_t i = 0; i < model.size(); ++i) {
-      if (model[i].cancelled) q2.cancel(idmap[i].second);
-    }
-    std::vector<EventId> drained;
-    while (!q2.empty()) drained.push_back(q2.pop().id);
-    std::vector<EventId> expected_new;
-    for (const auto& entry : expected) {
-      if (entry.cancelled) continue;
-      for (const auto& [orig, nid] : idmap) {
-        if (orig == entry.id) expected_new.push_back(nid);
-      }
-    }
-    ASSERT_EQ(drained, expected_new) << "trial " << trial;
+    std::stable_sort(expected.begin(), expected.end(), [&model](int a, int b) {
+      return model[static_cast<std::size_t>(a)].time <
+             model[static_cast<std::size_t>(b)].time;
+    });
+    ASSERT_EQ(rest, expected) << "trial " << trial;
+    EXPECT_TRUE(q.queue.empty());
   }
 }
 
 // Slot reuse under heavy churn: the pool stays compact and ids never
-// collide even when most pushes land on recycled slots.
+// collide even when most emplaces land on recycled slots.
 TEST(EventQueue, HeavySlotRecyclingKeepsIdsUnique) {
-  EventQueue q;
+  TaggedQueue q;
   util::Rng rng(99);
   std::vector<EventId> pending;
   std::vector<EventId> all_ids;
   for (int round = 0; round < 2000; ++round) {
-    const EventId id = q.push(rng.next_double() * 100.0, [] {});
+    const EventId id = q.add(rng.next_double() * 100.0, round);
     all_ids.push_back(id);
     pending.push_back(id);
     if (pending.size() > 32) {
       const std::size_t pick = rng.next_below(pending.size());
-      q.cancel(pending[pick]);
+      q.queue.cancel(pending[pick]);
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
     }
-    if (round % 3 == 0 && !q.empty()) (void)q.pop();
+    if (round % 3 == 0) (void)q.run_next();
   }
   std::sort(all_ids.begin(), all_ids.end());
   EXPECT_TRUE(std::adjacent_find(all_ids.begin(), all_ids.end()) == all_ids.end())
@@ -497,18 +539,6 @@ TEST(Simulator, PeakPendingHighWaterMark) {
   sim.run_all();
   EXPECT_EQ(sim.peak_pending(), 7u);
   EXPECT_EQ(sim.pending(), 0u);
-}
-
-TEST(Simulator, StepRunsOneEvent) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_in(1.0, [&] { ++fired; });
-  sim.schedule_in(2.0, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(Simulator, DeterministicTieBreaking) {
