@@ -25,8 +25,11 @@ void SystemConfig::validate() const {
   require(fault.burst_period >= 0.0, "fault.burst_period", "must be non-negative");
   require(fault.burst_duration >= 0.0, "fault.burst_duration", "must be non-negative");
   if (fault.burst_rate > 0.0) {
-    // A zero period or duration never bursts; a duration covering the
-    // whole period bursts forever.
+    // A burst only ever raises the loss rate, so one at or below it is
+    // inert. A zero period or duration never bursts; a duration
+    // covering the whole period bursts forever.
+    require(fault.burst_rate > fault.loss_rate, "fault.burst_rate",
+            "must exceed fault.loss_rate when positive");
     require(fault.burst_period > 0.0, "fault.burst_period",
             "must be positive when fault.burst_rate > 0");
     require(fault.burst_duration > 0.0, "fault.burst_duration",

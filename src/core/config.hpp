@@ -59,9 +59,9 @@ struct SystemConfig {
   /// fault-free build.
   fault::FaultPlan fault{};
   /// Retry/backoff + supplier-blacklist hardening for the pull and
-  /// prefetch planes, with the default fault::RetryPolicy. Off by
-  /// default (zero-fault hot path untouched); the f*_ scenario families
-  /// switch it on.
+  /// prefetch planes, tuned by the kRetry*/kBlacklist* constants in
+  /// core/params.hpp. Off by default (zero-fault hot path untouched);
+  /// the f*_ scenario families switch it on.
   bool hardening = false;
 
   // --- observability -------------------------------------------------------

@@ -113,16 +113,15 @@ constexpr SimTime kRetryRecordLinger = 10.0;
 }
 }  // namespace
 
-void Node::note_retry_failure(std::uint32_t key, SimTime now,
-                              const fault::RetryPolicy& policy) {
+static_assert(kRetryMaxAttempts <= std::numeric_limits<std::uint8_t>::max(),
+              "PackedRetry::attempts is 8 bits");
+
+void Node::note_retry_failure(std::uint32_t key, SimTime now) {
   auto [it, inserted] = retry_state_.try_emplace(key, detail::PackedRetry{});
   auto& record = it->second;
-  if (record.attempts < policy.max_attempts &&
-      record.attempts < std::numeric_limits<std::uint8_t>::max()) {
-    ++record.attempts;
-  }
+  if (record.attempts < kRetryMaxAttempts) ++record.attempts;
   record.eligible_at = static_cast<float>(now) +
-                       saturating_backoff(policy.backoff_base, policy.backoff_cap,
+                       saturating_backoff(kRetryBackoffBase, kRetryBackoffCap,
                                           record.attempts - 1u);
   (void)inserted;
 }
@@ -135,8 +134,7 @@ bool Node::retry_blocked(SegmentId id, SimTime now) const {
 
 void Node::clear_retry(SegmentId id) { retry_state_.erase(seg_key(id)); }
 
-bool Node::note_supplier_failure(NodeId supplier, SimTime now,
-                                 const fault::RetryPolicy& policy) {
+bool Node::note_supplier_failure(NodeId supplier, SimTime now) {
   auto [it, inserted] = supplier_strikes_.try_emplace(supplier,
                                                       detail::PackedStrike{});
   auto& record = it->second;
@@ -144,18 +142,18 @@ bool Node::note_supplier_failure(NodeId supplier, SimTime now,
   // Evaluated BEFORE the increment: below threshold `until` is only a
   // freshness stamp, not a blacklist window, so the threshold-crossing
   // strike must still report "newly blacklisted".
-  const bool was_blacklisted = record.strikes >= policy.blacklist_strikes &&
+  const bool was_blacklisted = record.strikes >= kBlacklistStrikes &&
                                now < static_cast<SimTime>(record.until);
   if (record.strikes < std::numeric_limits<std::uint8_t>::max()) ++record.strikes;
-  if (record.strikes < policy.blacklist_strikes) {
+  if (record.strikes < kBlacklistStrikes) {
     // Sub-threshold: `until` is the freshness stamp — the slate is
     // wiped (record swept) once the window passes without new strikes.
-    record.until = static_cast<float>(now + policy.blacklist_base);
+    record.until = static_cast<float>(now + kBlacklistBase);
     return false;
   }
   record.until = static_cast<float>(now) +
-                 saturating_backoff(policy.blacklist_base, policy.blacklist_cap,
-                                    record.strikes - policy.blacklist_strikes);
+                 saturating_backoff(kBlacklistBase, kBlacklistCap,
+                                    record.strikes - kBlacklistStrikes);
   return !was_blacklisted;
 }
 
@@ -163,11 +161,10 @@ void Node::note_supplier_success(NodeId supplier) {
   supplier_strikes_.erase(supplier);
 }
 
-bool Node::supplier_blacklisted(NodeId supplier, SimTime now,
-                                const fault::RetryPolicy& policy) const {
+bool Node::supplier_blacklisted(NodeId supplier, SimTime now) const {
   const auto it = supplier_strikes_.find(supplier);
   return it != supplier_strikes_.end() &&
-         it->second.strikes >= policy.blacklist_strikes &&
+         it->second.strikes >= kBlacklistStrikes &&
          now < static_cast<SimTime>(it->second.until);
 }
 

@@ -50,7 +50,7 @@ struct PackedTransfer {
 
 /// Packed retry record (8 bytes): when the segment may be re-requested
 /// and how many consecutive timeouts it has accumulated (capped at
-/// RetryPolicy::max_attempts — the backoff saturates, it never grows
+/// kRetryMaxAttempts — the backoff saturates, it never grows
 /// past the cap).
 struct PackedRetry {
   float eligible_at = 0.0f;
@@ -140,37 +140,35 @@ class Node {
   /// FlatMap contract: the cutoff predicate is idempotent, and the
   /// side effect rides the erase, so a wrap-displaced revisit (which is
   /// only ever a non-erased entry) can never double-fire it.
-  /// Hardening tallies produced by a policy-carrying sweep, merged into
+  /// Hardening tallies produced by a hardened sweep, merged into
   /// the session stats by the caller (per-shard when forked).
   struct SweepHardening {
     std::uint64_t backoffs = 0;    ///< retry records created or escalated
     std::uint64_t blacklists = 0;  ///< blacklist activations
   };
 
-  /// When `policy` is non-null the same one-pass sweep also records the
-  /// hardening state for each dropped entry: a retry-backoff record for
-  /// the segment (consulted by plan_scheduling / plan_prefetch) and a
-  /// strike against the supplier (blacklist after repeated failures).
-  /// All writes land in this node's own tables, so the fork-safety
-  /// argument is unchanged. The fault-free path (null policy) is
-  /// bit-identical to the pre-hardening sweep.
+  /// When `hardening` is non-null the same one-pass sweep also records
+  /// the hardening state for each dropped entry: a retry-backoff record
+  /// for the segment (consulted by plan_scheduling / plan_prefetch) and
+  /// a strike against the supplier (blacklist after repeated failures),
+  /// tallied into `*hardening`. All writes land in this node's own
+  /// tables, so the fork-safety argument is unchanged. The fault-free
+  /// path (null hardening) is bit-identical to the pre-hardening sweep.
   template <typename F>
-  std::size_t sweep_timeouts(SimTime cutoff, F&& on_failed,
-                             const fault::RetryPolicy* policy = nullptr,
-                             SimTime now = 0.0,
+  std::size_t sweep_timeouts(SimTime cutoff, F&& on_failed, SimTime now = 0.0,
                              SweepHardening* hardening = nullptr) {
     std::size_t dropped = 0;
     for (auto it = inflight_.begin(); it != inflight_.end();) {
       if (static_cast<SimTime>(it->second.requested_at) < cutoff) {
         if (it->second.supplier != kInvalidNode) {
           on_failed(it->second.supplier);
-          if (policy != nullptr &&
-              note_supplier_failure(it->second.supplier, now, *policy)) {
+          if (hardening != nullptr &&
+              note_supplier_failure(it->second.supplier, now)) {
             ++hardening->blacklists;
           }
         }
-        if (policy != nullptr) {
-          note_retry_failure(it->first, now, *policy);
+        if (hardening != nullptr) {
+          note_retry_failure(it->first, now);
           ++hardening->backoffs;
         }
         it = inflight_.erase(it);
@@ -181,8 +179,8 @@ class Node {
     }
     for (auto it = prefetch_pending_.begin(); it != prefetch_pending_.end();) {
       if (static_cast<SimTime>(it->second) < cutoff) {
-        if (policy != nullptr) {
-          note_retry_failure(it->first, now, *policy);
+        if (hardening != nullptr) {
+          note_retry_failure(it->first, now);
           ++hardening->backoffs;
         }
         it = prefetch_pending_.erase(it);
@@ -223,15 +221,11 @@ class Node {
   void clear_retry(SegmentId id);
   /// Adds a strike against `supplier`; returns true when this strike
   /// activated (or re-armed) the blacklist window.
-  bool note_supplier_failure(NodeId supplier, SimTime now,
-                             const fault::RetryPolicy& policy);
+  bool note_supplier_failure(NodeId supplier, SimTime now);
   /// A completed transfer wipes the supplier's strike slate.
   void note_supplier_success(NodeId supplier);
-  /// True while `supplier`'s offers are ignored by the scheduler (the
-  /// policy carries the strike threshold the packed record is read
-  /// against).
-  [[nodiscard]] bool supplier_blacklisted(NodeId supplier, SimTime now,
-                                          const fault::RetryPolicy& policy) const;
+  /// True while `supplier`'s offers are ignored by the scheduler.
+  [[nodiscard]] bool supplier_blacklisted(NodeId supplier, SimTime now) const;
   [[nodiscard]] std::size_t retry_record_count() const noexcept {
     return retry_state_.size();
   }
@@ -308,15 +302,14 @@ class Node {
   [[nodiscard]] static std::uint32_t seg_key(SegmentId id) noexcept;
 
   /// Inserts/escalates the retry record for a timed-out segment key.
-  void note_retry_failure(std::uint32_t key, SimTime now,
-                          const fault::RetryPolicy& policy);
+  void note_retry_failure(std::uint32_t key, SimTime now);
 
   util::FlatMap<std::uint32_t, detail::PackedTransfer> inflight_;
   util::FlatMap<std::uint32_t, float> prefetch_pending_;
   /// Pre-fetch delivery tags (paper: "tag"). Membership is the value,
   /// so a flat SET (5 bytes/slot) replaces the old map-to-true.
   util::FlatSet<std::uint32_t> prefetch_tags_;
-  /// Hardening state (empty unless a RetryPolicy is active): per-segment
+  /// Hardening state (empty unless SystemConfig::hardening is on): per-segment
   /// backoff records and per-supplier strike/blacklist records. Same
   /// bounded FlatMap discipline as the in-flight tables — swept by
   /// compact_bookkeeping, zero heap when empty.

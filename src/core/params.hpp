@@ -45,4 +45,17 @@ inline constexpr double kLowSupplyThreshold = 0.25;
 /// Seconds before a neighbor can be judged weak (model choice).
 inline constexpr double kNeighborMinAge = 10.0;
 
+// --- hardening (SystemConfig::hardening) -----------------------------------------
+/// Retry backoff after the k-th consecutive timeout of one segment:
+/// min(base * 2^(k-1), cap) seconds, k capped at kRetryMaxAttempts (model choice).
+inline constexpr double kRetryBackoffBase = 0.5;
+inline constexpr double kRetryBackoffCap = 8.0;
+inline constexpr std::uint32_t kRetryMaxAttempts = 6;
+/// One strike per timed-out transfer; at kBlacklistStrikes a supplier's
+/// offers are ignored for min(base * 2^(strikes - kBlacklistStrikes), cap)
+/// seconds (model choice).
+inline constexpr std::uint32_t kBlacklistStrikes = 3;
+inline constexpr double kBlacklistBase = 2.0;
+inline constexpr double kBlacklistCap = 16.0;
+
 }  // namespace continu::core

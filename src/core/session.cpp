@@ -11,6 +11,7 @@
 #include "obs/report.hpp"
 #include "obs/trace_sink.hpp"
 #include "trace/topology.hpp"
+#include "util/flat_map.hpp"
 #include "util/logging.hpp"
 
 namespace continu::core {
@@ -75,10 +76,6 @@ constexpr Bits kMembershipEntryBits = 48;
 /// aggregate demand under churn permanently exceeds capacity.
 constexpr SegmentId kLookaheadSegments = 150;
 
-/// The hardening tuning every session runs when SystemConfig::hardening
-/// is on.
-constexpr fault::RetryPolicy kRetryPolicy{};
-
 /// Fork/join shard grains. Fixed constants — NEVER derived from the
 /// thread count — so the shard structure (and with it the merge order
 /// of stats deltas, FP accumulations and deferred emissions) is
@@ -109,28 +106,9 @@ Session::Session(const SystemConfig& config, const trace::TraceSnapshot& snapsho
       churn_(config.churn, util::Rng(config.seed ^ 0xC4u)),
       rng_(config.seed),
       rounds_(sim_, kSchedulingPeriod,
-              [this](const std::vector<std::size_t>& users) { on_round_batch(users); }) {
+              [this](const std::vector<std::size_t>& users) { on_round_batch(users); }),
+      index_of_(space_.size(), kNoIndex) {
   network_.set_delivery_filter([this](std::size_t to) { return alive_index(to); });
-  // Quantized-mode delivery buckets fork on the session's executor;
-  // the hooks bracket each dispatch with per-shard stats scratch and
-  // the shard-order reduction — the same deferred-merge contract the
-  // round phases use. Continuous mode never forks, and its immediate
-  // contexts write straight into stats_.
-  {
-    net::Network::ShardHooks hooks;
-    hooks.on_fork = [this](std::size_t shards) {
-      delivery_shard_stats_.assign(shards, SessionStats{});
-      obs_ensure_shards(shards);
-    };
-    hooks.scratch = [this](std::size_t shard) -> void* {
-      return &delivery_shard_stats_[shard];
-    };
-    hooks.on_join = [this](std::size_t) {
-      sim::parallel::reduce_in_order(delivery_shard_stats_, stats_);
-    };
-    hooks.serial_scratch = &stats_;
-    network_.set_shard_hooks(std::move(hooks));
-  }
   // Urgent-line inputs, derived from the trace rather than configured.
   // t_hop is the mean one-hop latency (the paper: "an approximate
   // estimation from our simulation experience"); the population
@@ -187,7 +165,7 @@ void Session::build_nodes(const trace::TraceSnapshot& snapshot) {
     if (i == 0) node->mark_source();
     directory_.insert(id);
     rp_.register_node(id);
-    index_of_[id] = i;
+    index_of_[id] = static_cast<std::uint32_t>(i);
     nodes_.push_back(std::move(node));
   }
 }
@@ -279,7 +257,7 @@ void Session::populate_initial_dht() {
       arc.erase(std::remove(arc.begin(), arc.end(), node->id()), arc.end());
       if (arc.empty()) continue;
       const NodeId pick = arc[rng_.next_below(arc.size())];
-      const auto pick_index = index_of_.at(pick);
+      const auto pick_index = index_of(pick).value();
       node->dht_peers().offer(pick,
                               network_.latency().latency_ms(node->session_index(),
                                                             pick_index),
@@ -455,19 +433,12 @@ std::size_t Session::alive_count() const {
 }
 
 std::optional<std::size_t> Session::index_of(NodeId id) const {
-  const auto it = index_of_.find(id);
-  if (it == index_of_.end()) return std::nullopt;
-  return it->second;
+  if (id >= index_of_.size() || index_of_[id] == kNoIndex) return std::nullopt;
+  return index_of_[id];
 }
 
 bool Session::alive_index(std::size_t index) const {
   return index < nodes_.size() && nodes_[index]->alive();
-}
-
-std::optional<std::size_t> Session::alive_node_by_id(NodeId id) const {
-  const auto idx = index_of(id);
-  if (!idx.has_value() || !nodes_[*idx]->alive()) return std::nullopt;
-  return idx;
 }
 
 bool Session::in_time(const Node& node, SegmentId id, SimTime now) const {
@@ -533,7 +504,7 @@ void Session::round_prepare_local(std::size_t index, SessionStats& stats,
     // argument is unchanged; the tallies ride the per-shard stats.
     Node::SweepHardening hard;
     stats.transfer_timeouts +=
-        node.sweep_timeouts(cutoff, on_failed, &kRetryPolicy, now, &hard);
+        node.sweep_timeouts(cutoff, on_failed, now, &hard);
     stats.retry_backoffs += hard.backoffs;
     stats.suppliers_blacklisted += hard.blacklists;
     if (trace_ != nullptr && (hard.backoffs > 0 || hard.blacklists > 0)) {
@@ -666,7 +637,7 @@ void Session::repair_neighbors(Node& node) {
 
   // Drop dead neighbors.
   for (const NodeId id : node.neighbors().ids()) {
-    if (!alive_node_by_id(id).has_value()) {
+    if (!index_of(id).has_value()) {
       node.neighbors().remove(id);
       node.rates().forget(id);
       node.overheard().forget(id);
@@ -681,7 +652,7 @@ void Session::repair_neighbors(Node& node) {
   while (node.neighbors().size() < config_.connected_neighbors) {
     const auto candidate = node.overheard().best_candidate(excluded);
     if (!candidate.has_value()) break;
-    const auto cidx = alive_node_by_id(candidate->id);
+    const auto cidx = index_of(candidate->id);
     if (!cidx.has_value()) {
       node.overheard().forget(candidate->id);
       continue;
@@ -703,7 +674,7 @@ void Session::repair_neighbors(Node& node) {
     if (weakest.has_value() && weakest->supply_rate < kLowSupplyThreshold) {
       const auto candidate = node.overheard().best_candidate(excluded);
       if (candidate.has_value()) {
-        const auto cidx = alive_node_by_id(candidate->id);
+        const auto cidx = index_of(candidate->id);
         if (cidx.has_value()) {
           node.neighbors().remove(weakest->id);
           node.rates().forget(weakest->id);
@@ -748,7 +719,7 @@ std::optional<SegmentId> Session::plan_playback_start(const Node& node) const {
   // round later regardless of batch position or thread count.
   const bool following = [&] {
     for (const auto& neighbor : node.neighbors().all()) {
-      const auto idx = alive_node_by_id(neighbor.id);
+      const auto idx = index_of(neighbor.id);
       if (idx.has_value() && nodes_[*idx]->buffer().started()) return true;
     }
     return false;
@@ -791,7 +762,7 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
   // fields, never the ids the piggyback reads.
   const SimTime now = sim_.now();
   for (const auto& neighbor : node.neighbors().all()) {
-    const auto idx = alive_node_by_id(neighbor.id);
+    const auto idx = index_of(neighbor.id);
     if (!idx.has_value()) continue;
     ++shard.buffer_map_messages;
     // Membership piggyback: each exchange also carries a couple of
@@ -808,7 +779,7 @@ void Session::exchange_buffer_maps(Node& node, util::Rng& tick_rng,
       const NodeId heard =
           peer_neighbors[tick_rng.next_below(peer_neighbors.size())].id;
       if (heard == node.id()) continue;
-      const auto hidx = alive_node_by_id(heard);
+      const auto hidx = index_of(heard);
       if (!hidx.has_value()) continue;
       node.overheard().hear(
           heard, network_.latency().latency_ms(node.session_index(), *hidx), now);
@@ -830,12 +801,12 @@ bool Session::plan_scheduling(const Node& node, double budget_fraction,
   };
   std::vector<NeighborView> views;
   for (const NodeId id : node.neighbors().ids()) {
-    const auto idx = alive_node_by_id(id);
+    const auto idx = index_of(id);
     if (!idx.has_value()) continue;
     // Supplier failover: a blacklisted neighbor's offers are ignored
     // until its window decays, so demand routes around a peer whose
     // transfers keep timing out (lossy link or silently dead).
-    if (config_.hardening && node.supplier_blacklisted(id, now, kRetryPolicy)) continue;
+    if (config_.hardening && node.supplier_blacklisted(id, now)) continue;
     const Node& peer = *nodes_[*idx];
     const auto newest = peer.buffer().newest();
     if (!newest.has_value()) continue;
@@ -958,7 +929,7 @@ void Session::commit_scheduling(Node& node, const ScheduleResult& result) {
     per_supplier[assignment.supplier].push_back(assignment.segment);
   }
   for (auto& [supplier_id, ids] : per_supplier) {
-    const auto supplier_index = alive_node_by_id(supplier_id);
+    const auto supplier_index = index_of(supplier_id);
     if (!supplier_index.has_value()) continue;
     const auto bits =
         static_cast<Bits>(ids.size()) * WireCosts::kSegmentRequestPerIdBits;
@@ -983,7 +954,6 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
                                      net::DeliveryContext& ctx) {
   Node& sup = *nodes_[supplier];
   if (!sup.alive()) return;
-  auto& stats = *static_cast<SessionStats*>(ctx.scratch());
   const SimTime now = sim_.now();
   // Obs-owned writes only (the trace ring of this shard);
   // ctx.shard() is 0 on the serial/immediate path.
@@ -1039,7 +1009,6 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
       // The paper's case 3 (no available bandwidth) or an eviction race:
       // refuse explicitly so the requester can reschedule immediately
       // instead of waiting out a timeout.
-      ++stats.segments_refused;
       refused.push_back(id);
       if (trace != nullptr) {
         serve_event.kind = obs::TraceEventKind::kPullRefused;
@@ -1057,11 +1026,12 @@ void Session::handle_segment_request(std::size_t supplier, std::size_t requester
                          TransferKind::kScheduled, &ctx);
   }
   if (!refused.empty()) {
-    // The nack send mutates shared engine state (traffic account,
-    // event queue), so it rides the context: inline in immediate mode,
-    // settled at the join when forked.
+    // The refusal count and the nack send mutate shared state (stats,
+    // traffic account, event queue), so they ride the context: inline
+    // in immediate mode, settled at the join when forked.
     ctx.defer([this, supplier, requester, supplier_id = sup.id(),
                refused = std::move(refused)]() mutable {
+      stats_.segments_refused += refused.size();
       network_.send_sharded(
           supplier, requester, MessageType::kRequestNack,
           WireCosts::kSmallPacketBits,
@@ -1152,7 +1122,6 @@ void Session::deliver_segment(std::size_t receiver, SegmentId id, TransferKind k
                               net::DeliveryContext& ctx) {
   Node& node = *nodes_[receiver];
   if (!node.alive()) return;
-  auto& stats = *static_cast<SessionStats*>(ctx.scratch());
   const SimTime now = sim_.now();
 
   const auto record = (kind == TransferKind::kScheduled)
@@ -1160,8 +1129,13 @@ void Session::deliver_segment(std::size_t receiver, SegmentId id, TransferKind k
                           : std::optional<InflightTransfer>{};
   if (kind == TransferKind::kPrefetch) node.end_prefetch(id);
   const bool fresh = node.buffer().insert(id);
-  ++stats.segments_delivered;
-  if (!fresh) ++stats.duplicate_deliveries;
+  // Session-wide counters are shared state: inline in immediate mode,
+  // settled at the join when forked.
+  ctx.defer([this, fresh, prefetched = kind == TransferKind::kPrefetch] {
+    ++stats_.segments_delivered;
+    if (!fresh) ++stats_.duplicate_deliveries;
+    if (prefetched) ++stats_.prefetch_succeeded;
+  });
   if (trace_ != nullptr) {
     obs::TraceEvent event;
     event.time = now;
@@ -1215,7 +1189,6 @@ void Session::deliver_segment(std::size_t receiver, SegmentId id, TransferKind k
       node.urgent_line().on_repeated_prefetch();
     }
   } else {
-    ++stats.prefetch_succeeded;
     node.tag_prefetched(id);
     if (fresh) {
       // Overdue data (alpha case 1): the pre-fetch landed too late.
@@ -1252,7 +1225,7 @@ void Session::push_relay(Node& node, SegmentId id) {
   std::size_t pushed = 0;
   for (const NodeId partner : partners) {
     if (pushed >= fanout) break;
-    const auto pidx = alive_node_by_id(partner);
+    const auto pidx = index_of(partner);
     if (!pidx.has_value()) continue;
     Node& peer = *nodes_[*pidx];
     if (peer.buffer().has(id)) continue;
@@ -1364,7 +1337,7 @@ void Session::route_hop(std::size_t current, NodeId target, std::size_t origin,
       finish_locate(current, op);
       return;
     }
-    const auto next_index = alive_node_by_id(*next);
+    const auto next_index = index_of(*next);
     if (!next_index.has_value()) {
       node.dht_peers().evict(*next);  // stale entry: peer is gone
       continue;
@@ -1465,7 +1438,7 @@ void Session::refresh_dht_peers(Node& node) {
   }
   // Evict any DHT peer we know to be dead (cheap liveness sweep).
   for (const auto& peer : node.dht_peers().peers()) {
-    if (!alive_node_by_id(peer.id).has_value()) {
+    if (!index_of(peer.id).has_value()) {
       node.dht_peers().evict(peer.id);
     }
   }
@@ -1561,7 +1534,7 @@ void Session::kill_node(std::size_t index, bool graceful) {
     // Hand the VoD backup to the counter-clockwise closest alive node.
     const auto heir_id = directory_.predecessor_of(node.id());
     if (heir_id.has_value()) {
-      const auto heir_index = alive_node_by_id(*heir_id);
+      const auto heir_index = index_of(*heir_id);
       if (heir_index.has_value()) {
         const auto contents = node.backup().take_all();
         const auto bits = WireCosts::kSmallPacketBits +
@@ -1580,7 +1553,7 @@ void Session::kill_node(std::size_t index, bool graceful) {
   node.set_alive(false);
   directory_.erase(node.id());
   rp_.report_failure(node.id());
-  index_of_.erase(node.id());
+  index_of_[node.id()] = kNoIndex;
   rounds_.remove(round_handles_[index]);
 }
 
@@ -1607,7 +1580,7 @@ void Session::do_join() {
   std::optional<std::size_t> base;
   double base_latency = 0.0;
   for (const NodeId candidate : close) {
-    const auto cidx = alive_node_by_id(candidate);
+    const auto cidx = index_of(candidate);
     // PING + PONG (the probe happens whether or not the peer is alive).
     network_.charge_only(MessageType::kPing, WireCosts::kSmallPacketBits);
     if (!cidx.has_value()) {
@@ -1650,7 +1623,7 @@ void Session::do_join() {
       const auto candidate = node->overheard().best_candidate(excluded);
       if (!candidate.has_value()) break;
       excluded.push_back(candidate->id);
-      const auto cidx = alive_node_by_id(candidate->id);
+      const auto cidx = index_of(candidate->id);
       if (!cidx.has_value()) continue;
       node->neighbors().add(candidate->id, candidate->latency_ms, now);
       nodes_[*cidx]->neighbors().add(id, candidate->latency_ms, now);
@@ -1660,7 +1633,7 @@ void Session::do_join() {
 
   directory_.insert(id);
   rp_.register_node(id);
-  index_of_[id] = index;
+  index_of_[id] = static_cast<std::uint32_t>(index);
   nodes_.push_back(std::move(node));
 
   round_handles_.push_back(rounds_.add_at(round_phase(rng_), index));

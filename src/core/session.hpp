@@ -35,7 +35,6 @@
 #include "sim/round_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
-#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace continu::obs {
@@ -241,6 +240,8 @@ class Session {
   [[nodiscard]] Node& node(std::size_t index) { return *nodes_.at(index); }
   [[nodiscard]] const Node& node(std::size_t index) const { return *nodes_.at(index); }
   [[nodiscard]] SegmentId emitted() const noexcept { return emitted_; }
+  /// Session index of the alive node with this id; nullopt for a dead,
+  /// free or out-of-range id.
   [[nodiscard]] std::optional<std::size_t> index_of(NodeId id) const;
   [[nodiscard]] const dht::RingDirectory& directory() const noexcept { return directory_; }
 
@@ -389,11 +390,11 @@ class Session {
   // The transfer-plane handlers run through the network's sharded
   // delivery path: in quantized mode they may execute on a worker
   // shard (receiver-shard ownership contract — own-node writes plus
-  // the per-shard stats scratch behind ctx.scratch(); sends, relays
-  // and shared-RNG work deferred through the context), in continuous
-  // mode the context is immediate and they execute exactly as the
-  // serial forms did. The DHT/prefetch chain and churn handover stay
-  // on the serial send path this PR.
+  // the shard's trace ring; stats counters, sends, relays and
+  // shared-RNG work deferred through the context), in continuous mode
+  // the context is immediate and they execute exactly as the serial
+  // forms did. The DHT/prefetch chain and churn handover stay on the
+  // serial send path.
   void handle_segment_request(std::size_t supplier, std::size_t requester,
                               std::vector<SegmentId> ids, net::DeliveryContext& ctx);
   /// Books the supplier's uplink inline (supplier-own state) and
@@ -439,7 +440,6 @@ class Session {
 
   // --- helpers -----------------------------------------------------------
   [[nodiscard]] bool alive_index(std::size_t index) const;
-  [[nodiscard]] std::optional<std::size_t> alive_node_by_id(NodeId id) const;
   [[nodiscard]] bool in_time(const Node& node, SegmentId id, SimTime now) const;
   void store_backup_if_responsible(Node& node, SegmentId id);
 
@@ -476,7 +476,10 @@ class Session {
   sim::RoundScheduler rounds_;
   std::vector<sim::RoundScheduler::Handle> round_handles_;
   std::unique_ptr<sim::PeriodicProcess> emit_process_;
-  util::FlatMap<NodeId, std::size_t> index_of_;
+  /// Session index of every ALIVE node, by NodeId (ids are drawn below
+  /// space_.size()); kNoIndex for free and dead ids.
+  static constexpr std::uint32_t kNoIndex = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> index_of_;
 
   /// Fork/join scratch, reused across batches. plans_ is indexed by
   /// batch position (each shard writes a disjoint range); the shard-
@@ -487,11 +490,6 @@ class Session {
   std::vector<SessionStats> shard_stats_;
   std::vector<std::vector<sim::EventQueue::Deferred>> shard_emissions_;
   std::vector<PrepareShard> prepare_shards_;
-  /// Per-shard stats deltas for forked delivery-bucket dispatches
-  /// (quantized mode). Separate from shard_stats_ on purpose: a bucket
-  /// proxy is an ordinary event and never overlaps a round batch, but
-  /// sharing the buffer would couple two unrelated fork/join sites.
-  std::vector<SessionStats> delivery_shard_stats_;
 
   /// Deterministic observability (null = the pillar is disabled, which
   /// leaves only pointer checks on the hot paths). Obs-owned state is

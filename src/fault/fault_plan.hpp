@@ -52,9 +52,9 @@ struct FaultPlan {
 
   /// Burst-loss episodes: during the first `burst_duration` seconds of
   /// every `burst_period`-second cycle, the loss probability rises to
-  /// max(loss_rate, burst_rate). burst_rate == 0 disables bursts;
-  /// SystemConfig::validate() then requires the period and duration to
-  /// be 0, and otherwise 0 < burst_duration < burst_period.
+  /// burst_rate. burst_rate == 0 disables bursts; SystemConfig::validate()
+  /// then requires the period and duration to be 0, and otherwise
+  /// burst_rate > loss_rate and 0 < burst_duration < burst_period.
   double burst_rate = 0.0;
   double burst_period = 0.0;
   double burst_duration = 0.0;
@@ -67,29 +67,6 @@ struct FaultPlan {
     return loss_rate > 0.0 || (burst_period > 0.0 && burst_rate > 0.0) ||
            !crashes.empty() || !partitions.empty() || !spikes.empty();
   }
-};
-
-/// Hardening policy for the pull/prefetch planes: bounded
-/// retry-with-backoff on timed-out transfers and a decaying supplier
-/// blacklist after repeated failures. A session runs these defaults
-/// when core::SystemConfig::hardening is on; the fields are the
-/// Node-level tuning that unit tests drive directly.
-struct RetryPolicy {
-  /// Backoff after the k-th consecutive timeout of one segment:
-  /// min(backoff_base * 2^(k-1), backoff_cap) seconds. Attempts are
-  /// capped at max_attempts; further failures keep the cap.
-  double backoff_base = 0.5;
-  double backoff_cap = 8.0;
-  std::uint32_t max_attempts = 6;
-
-  /// A supplier accumulates one strike per timed-out transfer it was
-  /// serving. At `blacklist_strikes` strikes its offers are ignored for
-  /// min(blacklist_base * 2^(strikes - blacklist_strikes),
-  /// blacklist_cap) seconds; entries expire (strike slate wiped) once
-  /// their window passes, so the blacklist decays on success or quiet.
-  std::uint32_t blacklist_strikes = 3;
-  double blacklist_base = 2.0;
-  double blacklist_cap = 16.0;
 };
 
 }  // namespace continu::fault

@@ -5,11 +5,11 @@
 // latency-grid point into a bucket and, at the bucket boundary, forks
 // the batch across receiver shards. A handler that participates takes
 // a DeliveryContext& instead of running bare: the context tells it
-// which shard it is on, hands it the session-installed per-shard stats
-// scratch, and buffers everything the handler may NOT do from a worker
-// thread (event scheduling, network sends, cross-node writes) for the
-// join to settle in shard order — the same deferred-emission contract
-// the forked prepare-local and plan phases follow.
+// which shard it is on and buffers everything the handler may NOT do
+// from a worker thread (event scheduling, network sends, cross-node
+// and session-wide writes) for the join to settle in shard order — the
+// same deferred-emission contract the forked prepare-local and plan
+// phases follow.
 //
 // DeliveryAction is the storage for such handlers:
 // sim::InlineAction<void(DeliveryContext&)>, the same small-buffer
@@ -46,9 +46,10 @@ struct LocalForward {
 /// Per-shard buffers a worker fills during a forked bucket dispatch;
 /// the join drains them in shard order.
 struct DeliveryShardScratch {
-  /// Join-deferred operations: network sends, push relays — anything
-  /// that touches shared engine state. Run directly (not scheduled) at
-  /// the join, so the immediate-mode equivalent is an inline call.
+  /// Join-deferred operations: network sends, push relays, session
+  /// stats — anything that touches shared state. Run directly (not
+  /// scheduled) at the join, so the immediate-mode equivalent is an
+  /// inline call.
   std::vector<sim::EventAction> deferred;
   /// Sharded continuations (stage-3 fluid-model deliveries).
   std::vector<LocalForward> forwards;
@@ -66,12 +67,13 @@ struct DeliveryShardScratch {
 /// Receiver-shard ownership contract: a handler invoked with a
 /// parallel() context runs on a worker thread and may write ONLY the
 /// receiving node's own state (buffers, in-flight tables, link-rate
-/// estimators, neighbor supply fields, up/downlink bookings) plus the
-/// per-shard scratch behind scratch(). Cross-node reads are limited to
-/// state frozen for the whole bucket (liveness flags, inbound rates,
-/// other nodes' buffer windows). Everything else — event scheduling,
-/// network sends, cross-node writes, shared-RNG draws — goes through
-/// defer()/forward(), which the join settles serially in shard order.
+/// estimators, neighbor supply fields, up/downlink bookings) plus its
+/// shard's trace ring. Cross-node reads are limited to state frozen for
+/// the whole bucket (liveness flags, inbound rates, other nodes' buffer
+/// windows). Everything else — event scheduling, network sends,
+/// cross-node writes, shared-RNG draws, SessionStats counters — goes
+/// through defer()/forward(), which the join settles serially in shard
+/// order.
 ///
 /// In continuous mode (and for the serial entries of a bucket) the
 /// context is "immediate": defer() runs its argument inline and
@@ -84,10 +86,6 @@ class DeliveryContext {
 
   /// True when running forked on a worker shard.
   [[nodiscard]] bool parallel() const noexcept { return scratch_buf_ != nullptr; }
-
-  /// Session-installed per-shard stats scratch (the live SessionStats
-  /// in immediate mode). Never null once hooks are installed.
-  [[nodiscard]] void* scratch() const noexcept { return user_scratch_; }
 
   /// Defers `f` to the join (shard order, record order within the
   /// shard); runs it inline in immediate mode.
@@ -110,13 +108,11 @@ class DeliveryContext {
 
  private:
   friend class Network;
-  DeliveryContext(Network* net, std::size_t shard, void* user_scratch,
-                  DeliveryShardScratch* buf) noexcept
-      : net_(net), shard_(shard), user_scratch_(user_scratch), scratch_buf_(buf) {}
+  DeliveryContext(Network* net, std::size_t shard, DeliveryShardScratch* buf) noexcept
+      : net_(net), shard_(shard), scratch_buf_(buf) {}
 
   Network* net_;
   std::size_t shard_;
-  void* user_scratch_;
   DeliveryShardScratch* scratch_buf_;
 };
 

@@ -29,8 +29,6 @@ void Network::set_delivery_filter(std::function<bool(std::size_t)> filter) {
   filter_ = std::move(filter);
 }
 
-void Network::set_shard_hooks(ShardHooks hooks) { hooks_ = std::move(hooks); }
-
 bool Network::apply_faults(std::size_t from, std::size_t to, SimTime& delay) {
   // Fault classification happens on the serial send path, so the trace
   // records ride ring 0. Obs-owned writes only — recording an eaten
@@ -139,15 +137,15 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
   if (obs_profiler_ != nullptr) {
     obs_profiler_->begin_fork_phase(obs::Phase::kDeliveryBucket, entries.size());
   }
-  if (hooks_.on_fork) hooks_.on_fork(shards);
+  // Workers record into ring s; the rings grow serially, here.
+  if (obs_trace_ != nullptr) obs_trace_->ensure_shards(shards);
 
   // Fork. A worker owns a contiguous run of receiver groups; every
   // write it performs lands either in its receivers' own node state
   // (the handler contract) or in its private DeliveryShardScratch.
   const auto body = [&](std::size_t s, std::size_t begin, std::size_t end) {
     DeliveryShardScratch& scratch = shard_scratch_[s];
-    void* user = hooks_.scratch ? hooks_.scratch(s) : hooks_.serial_scratch;
-    DeliveryContext ctx(this, s, user, &scratch);
+    DeliveryContext ctx(this, s, &scratch);
     for (std::size_t g = begin; g < end; ++g) {
       const ReceiverGroup& group = groups_[g];
       for (const std::uint32_t index : group.entry_indices) {
@@ -163,15 +161,13 @@ void Network::dispatch_bucket(std::vector<HandoffEntry>& entries) {
   };
   exec_.for_shards(count, kReceiverGrain, body);
 
-  // Join, in shard order. Drops first (pure sums), then the session
-  // reduces its stats scratch, then each shard's buffered work runs
-  // serially: forwards (stage-3 continuations into future buckets)
-  // before deferred operations (sends, relays) — a fixed, thread-count
-  // independent replay order.
-  for (std::size_t s = 0; s < shards; ++s) dropped_ += shard_scratch_[s].dropped;
-  if (hooks_.on_join) hooks_.on_join(shards);
+  // Join, in shard order: each shard's buffered work runs serially —
+  // its drop count, then forwards (stage-3 continuations into future
+  // buckets), then deferred operations (sends, relays, stats) — a
+  // fixed, thread-count independent replay order.
   for (std::size_t s = 0; s < shards; ++s) {
     DeliveryShardScratch& scratch = shard_scratch_[s];
+    dropped_ += scratch.dropped;
     for (LocalForward& forward : scratch.forwards) {
       enqueue_sharded(forward.to, quantize_up_s(forward.when),
                       std::move(forward.action), /*filtered=*/false);

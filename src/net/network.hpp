@@ -62,22 +62,6 @@ struct HandoffEntry {
 
 class Network {
  public:
-  /// Session-installed callbacks bracketing a forked bucket dispatch.
-  /// The network cannot know the session's stats type, so the session
-  /// provides per-shard scratch pointers and the reduction points.
-  struct ShardHooks {
-    /// Called before the fork with the shard count (resize scratch).
-    std::function<void(std::size_t shards)> on_fork;
-    /// Per-shard scratch pointer, valid between on_fork and on_join.
-    std::function<void*(std::size_t shard)> scratch;
-    /// Called at the join, before deferred work runs: reduce the
-    /// per-shard scratch into shared state, in shard order.
-    std::function<void(std::size_t shards)> on_join;
-    /// Scratch handed to immediate-mode contexts (continuous-mode
-    /// deliveries): typically the live stats object itself.
-    void* serial_scratch = nullptr;
-  };
-
   /// Quantized buckets fork on `exec`; a single-thread executor runs
   /// the same shard decomposition inline.
   Network(sim::Simulator& sim, sim::parallel::ParallelExecutor& exec,
@@ -183,9 +167,6 @@ class Network {
   /// must only read state frozen for the bucket (liveness flags).
   void set_delivery_filter(std::function<bool(std::size_t to)> filter);
 
-  /// Installs the session's fork/join scratch hooks (see ShardHooks).
-  void set_shard_hooks(ShardHooks hooks);
-
   /// Installs the fault injector (nullptr = fault-free). Every wire
   /// send — both network modes, sharded or not — consults it after the
   /// traffic charge and before scheduling: injected loss and partition
@@ -262,7 +243,7 @@ class Network {
         ++net->dropped_;
         return;
       }
-      DeliveryContext ctx(net, 0, net->hooks_.serial_scratch, nullptr);
+      DeliveryContext ctx(net, 0, nullptr);
       fn(ctx);
     }
   };
@@ -274,7 +255,7 @@ class Network {
     Network* net;
     F fn;
     void operator()() {
-      DeliveryContext ctx(net, 0, net->hooks_.serial_scratch, nullptr);
+      DeliveryContext ctx(net, 0, nullptr);
       fn(ctx);
     }
   };
@@ -334,7 +315,6 @@ class Network {
 
   SimTime grid_s_ = 0.0;
   sim::parallel::ParallelExecutor& exec_;
-  ShardHooks hooks_;
   /// Pending buckets by fire time. std::map: iteration order never
   /// matters (each bucket owns a proxy event), but deterministic
   /// structure keeps debugging sane; the handful of in-flight buckets

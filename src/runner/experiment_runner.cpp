@@ -1,10 +1,11 @@
 #include "runner/experiment_runner.hpp"
 
-#include <exception>
+#include <algorithm>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "sim/parallel/executor.hpp"
 #include "util/hash.hpp"
 
 namespace continu::runner {
@@ -106,34 +107,15 @@ std::vector<ReplicationResult> ExperimentRunner::run_all(
     return run_one(overridden);
   };
 
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(jobs_, specs.size()));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i) results[i] = run_spec(specs[i]);
-    return results;
-  }
-
-  // Static strided shard: worker w owns indices w, w+J, w+2J, ... Each
-  // slot is written by exactly one worker, so no synchronization is
-  // needed beyond the joins.
-  std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&specs, &results, &errors, &run_spec, w, workers] {
-      try {
-        for (std::size_t i = w; i < specs.size(); i += workers) {
-          results[i] = run_spec(specs[i]);
-        }
-      } catch (...) {
-        errors[w] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  // One shard per spec; each shard writes only its own result slot.
+  // The executor runs every shard and rethrows the lowest failing
+  // index, so the surfaced error is jobs-invariant like the results.
+  sim::parallel::ParallelExecutor pool(
+      static_cast<unsigned>(std::min<std::size_t>(jobs_, specs.size())));
+  pool.for_shards(specs.size(), 1,
+                  [&](std::size_t s, std::size_t, std::size_t) {
+                    results[s] = run_spec(specs[s]);
+                  });
   return results;
 }
 

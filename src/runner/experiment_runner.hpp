@@ -1,17 +1,19 @@
 #pragma once
 // ExperimentRunner — shards independent Session replications across a
-// std::thread pool so a 50-replication Monte-Carlo sweep uses every
+// ParallelExecutor so a 50-replication Monte-Carlo sweep uses every
 // core instead of one.
 //
 // Design constraints (and why):
 //   * Replications are embarrassingly parallel: one Session owns its
 //     simulator, network, nodes and RNG, so threads share nothing but
 //     the spec list and their private result slots.
-//   * Work assignment is a STATIC STRIDED QUEUE — worker w runs specs
-//     w, w + J, w + 2J, ... No mutex, no work stealing, and (more
-//     importantly) no scheduling nondeterminism: results land in spec
-//     order and are bit-identical for any jobs count, which the
-//     determinism tests enforce.
+//   * Each spec is one shard of the same fork/join engine the sessions
+//     use inside (sim::parallel::ParallelExecutor). Which worker claims
+//     a shard varies, but a shard writes only its own result slot, so
+//     results land in spec order and are bit-identical for any jobs
+//     count, which the determinism tests enforce. Every spec runs even
+//     when one fails, and the lowest failing index's error is the one
+//     rethrown, so errors are jobs-invariant too.
 //   * Per-replication RNG seeding is derived, not sequential:
 //     replication_seed() splitmix-es (base, index) so neighboring
 //     replications get decorrelated streams and a replication's seed
@@ -123,9 +125,9 @@ class ExperimentRunner {
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
   [[nodiscard]] unsigned session_threads() const noexcept { return session_threads_; }
 
-  /// Runs every spec, sharded across the pool; results in spec order.
-  /// Identical output for any jobs value. First worker exception is
-  /// rethrown on the calling thread after the pool joins.
+  /// Runs every spec, one executor shard each; results in spec order.
+  /// Identical output for any jobs value. Every spec runs; the error
+  /// of the lowest failing spec is rethrown after the join.
   [[nodiscard]] std::vector<ReplicationResult> run_all(
       const std::vector<ReplicationSpec>& specs) const;
 

@@ -6,14 +6,14 @@
 
 namespace continu::sim {
 
-std::uint32_t EventQueue::grow_pool() {
+void EventQueue::grow_pool() {
   if (slot_count_ > kSlotMask) {
     throw std::length_error("EventQueue: pending-event slot pool exhausted");
   }
   if ((slot_count_ & (kBlockSize - 1)) == 0) {
     blocks_.push_back(std::make_unique<Slot[]>(kBlockSize));
   }
-  return slot_count_++;
+  release_slot(slot_count_++);
 }
 
 void EventQueue::release_slot(std::uint32_t index) noexcept {
@@ -72,11 +72,7 @@ void EventQueue::execute_and_release(const DueEvent& due) {
   struct ReleaseGuard {
     EventQueue* queue;
     std::uint32_t index;
-    ~ReleaseGuard() {
-      Slot& s = queue->slot(index);
-      s.next_free = queue->free_head_;
-      queue->free_head_ = index;
-    }
+    ~ReleaseGuard() { queue->release_slot(index); }
   } guard{this, due.slot_index};
   // Slot blocks never move, so the reference stays valid even if the
   // action schedules new events (growing the pool or the heap).

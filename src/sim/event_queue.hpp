@@ -51,27 +51,26 @@ class EventQueue {
   /// prefetched while the heap insertion runs. Empty actions throw.
   template <typename F>
   EventId emplace(SimTime time, F&& f) {
-    const std::uint32_t index = free_head_ != kNoFree ? free_head_ : grow_pool();
+    if (free_head_ == kNoFree) grow_pool();  // links a fresh slot as the head
+    const std::uint32_t index = free_head_;
     Slot& s = slot(index);  // blocks are stable; heap growth can't move it
     __builtin_prefetch(&s, 1);
     const EventId id = (next_seq_++ << kSlotBits) | index;
     heap_.push_back(HeapEntry{time, id});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    // Construct the action BEFORE publishing the slot: if the capture's
-    // construction throws (or was an empty std::function), the slot
-    // still reads as free (id mismatch), so the heap entry above is
-    // lazily reaped and the freelist is untouched — the queue stays
+    // Construct the action BEFORE unlinking the slot: if the capture's
+    // construction throws (or was an empty std::function), the slot is
+    // still the free head and reads as free (id mismatch), so the heap
+    // entry above is lazily reaped and no slot leaks — the queue stays
     // consistent.
     s.action.emplace(std::forward<F>(f));
     if (!s.action) {
       throw std::invalid_argument("EventQueue: empty action");
     }
-    if (index == free_head_) {
-      free_head_ = s.next_free;
-      // Chain-prefetch the next free slot: it gets a whole push of
-      // lead time before the next emplace writes it.
-      if (free_head_ != kNoFree) __builtin_prefetch(&slot(free_head_), 1);
-    }
+    free_head_ = s.next_free;
+    // Chain-prefetch the next free slot: it gets a whole push of lead
+    // time before the next emplace writes it.
+    if (free_head_ != kNoFree) __builtin_prefetch(&slot(free_head_), 1);
     s.id = id;
     ++live_;
     if (live_ > peak_live_) peak_live_ = live_;
@@ -156,8 +155,9 @@ class EventQueue {
     }
   };
 
-  /// Appends a fresh slot (and a new block at block boundaries).
-  [[nodiscard]] std::uint32_t grow_pool();
+  /// Appends a fresh slot (and a new block at block boundaries) and
+  /// links it onto the freelist.
+  void grow_pool();
   void release_slot(std::uint32_t index) noexcept;
 
   void remove_top() noexcept;

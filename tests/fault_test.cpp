@@ -25,7 +25,6 @@ namespace {
 
 using fault::FaultInjector;
 using fault::FaultPlan;
-using fault::RetryPolicy;
 
 // ---------------------------------------------------------------------------
 // FaultInjector units
@@ -126,11 +125,6 @@ TEST(RetryHardening, BackoffDoublesAndSaturatesAtTheCap) {
   core::SystemConfig config;
   core::Node node = test_node(1, space, config);
 
-  RetryPolicy policy;
-  policy.backoff_base = 0.5;
-  policy.backoff_cap = 4.0;
-  policy.max_attempts = 4;
-
   const SegmentId seg = 100;
   core::Node::SweepHardening hard;
   SimTime now = 0.0;
@@ -141,7 +135,7 @@ TEST(RetryHardening, BackoffDoublesAndSaturatesAtTheCap) {
     ASSERT_TRUE(node.begin_transfer(seg, core::TransferKind::kScheduled,
                                     /*supplier=*/2, now));
     const auto dropped = node.sweep_timeouts(
-        /*cutoff=*/now + 1.0, [](NodeId) {}, &policy, now, &hard);
+        /*cutoff=*/now + 1.0, [](NodeId) {}, now, &hard);
     ASSERT_EQ(dropped, 1u);
     // Probe the backoff window width by bisection against retry_blocked.
     double lo = 0.0, hi = 64.0;
@@ -152,13 +146,13 @@ TEST(RetryHardening, BackoffDoublesAndSaturatesAtTheCap) {
     windows.push_back(lo);
   }
   EXPECT_EQ(hard.backoffs, 6u);
-  // 0.5, 1, 2, then pinned at the 4-second cap: bounded, terminating.
+  // 0.5, 1, 2, 4, then pinned at the 8-second cap: bounded, terminating.
   EXPECT_NEAR(windows[0], 0.5, 1e-3);
   EXPECT_NEAR(windows[1], 1.0, 1e-3);
   EXPECT_NEAR(windows[2], 2.0, 1e-3);
   EXPECT_NEAR(windows[3], 4.0, 1e-3);
-  EXPECT_NEAR(windows[4], 4.0, 1e-3);  // attempts capped at max_attempts
-  EXPECT_NEAR(windows[5], 4.0, 1e-3);
+  EXPECT_NEAR(windows[4], 8.0, 1e-3);
+  EXPECT_NEAR(windows[5], 8.0, 1e-3);  // attempts capped at kRetryMaxAttempts
 
   // Success wipes the streak.
   node.clear_retry(seg);
@@ -171,33 +165,28 @@ TEST(RetryHardening, SupplierBlacklistEngagesDecaysAndClears) {
   core::SystemConfig config;
   core::Node node = test_node(1, space, config);
 
-  RetryPolicy policy;
-  policy.blacklist_strikes = 3;
-  policy.blacklist_base = 2.0;
-  policy.blacklist_cap = 8.0;
-
   const NodeId supplier = 77;
   SimTime now = 0.0;
   // Two strikes: below threshold, not blacklisted.
-  EXPECT_FALSE(node.note_supplier_failure(supplier, now, policy));
-  EXPECT_FALSE(node.note_supplier_failure(supplier, now, policy));
-  EXPECT_FALSE(node.supplier_blacklisted(supplier, now, policy));
+  EXPECT_FALSE(node.note_supplier_failure(supplier, now));
+  EXPECT_FALSE(node.note_supplier_failure(supplier, now));
+  EXPECT_FALSE(node.supplier_blacklisted(supplier, now));
   // Third strike crosses the threshold: newly blacklisted (counted
-  // once), for blacklist_base seconds.
-  EXPECT_TRUE(node.note_supplier_failure(supplier, now, policy));
-  EXPECT_TRUE(node.supplier_blacklisted(supplier, now, policy));
+  // once), for kBlacklistBase seconds.
+  EXPECT_TRUE(node.note_supplier_failure(supplier, now));
+  EXPECT_TRUE(node.supplier_blacklisted(supplier, now));
   // A strike while already blacklisted extends but does not re-count.
-  EXPECT_FALSE(node.note_supplier_failure(supplier, now, policy));
+  EXPECT_FALSE(node.note_supplier_failure(supplier, now));
   // The window doubles per extra strike, capped: 2*2^1 = 4 s here.
-  EXPECT_TRUE(node.supplier_blacklisted(supplier, now + 3.9, policy));
-  EXPECT_FALSE(node.supplier_blacklisted(supplier, now + 4.1, policy));
+  EXPECT_TRUE(node.supplier_blacklisted(supplier, now + 3.9));
+  EXPECT_FALSE(node.supplier_blacklisted(supplier, now + 4.1));
 
   // Decay: once the window passes, compaction sweeps the record.
   node.compact_bookkeeping(/*now=*/now + 10.0, /*horizon=*/0);
   EXPECT_EQ(node.strike_record_count(), 0u);
 
   // A successful delivery erases the record immediately.
-  EXPECT_FALSE(node.note_supplier_failure(supplier, now, policy));
+  EXPECT_FALSE(node.note_supplier_failure(supplier, now));
   node.note_supplier_success(supplier);
   EXPECT_EQ(node.strike_record_count(), 0u);
 }
@@ -207,16 +196,12 @@ TEST(RetryHardening, CompactionSweepsStaleRetryRecords) {
   core::SystemConfig config;
   core::Node node = test_node(1, space, config);
 
-  RetryPolicy policy;
-  policy.backoff_base = 0.5;
-  policy.backoff_cap = 2.0;
-
   SimTime now = 100.0;
   for (SegmentId seg = 990; seg < 1000; ++seg) {
     ASSERT_TRUE(node.begin_transfer(seg, core::TransferKind::kScheduled, 2, now));
   }
   core::Node::SweepHardening hard;
-  node.sweep_timeouts(now + 1.0, [](NodeId) {}, &policy, now, &hard);
+  node.sweep_timeouts(now + 1.0, [](NodeId) {}, now, &hard);
   EXPECT_EQ(node.retry_record_count(), 10u);
 
   // Records behind the playback window go first...

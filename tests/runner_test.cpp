@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,28 @@ TEST(ExperimentRunner, MoreJobsThanSpecs) {
   const auto results = pool.run_all(specs);
   ASSERT_EQ(results.size(), 2u);
   for (const auto& r : results) EXPECT_GT(r.stats.segments_delivered, 0u);
+}
+
+// Every spec runs and the lowest failing index's error surfaces, so
+// which error a bad batch reports never depends on the jobs count.
+TEST(ExperimentRunner, FailingSpecErrorIsJobsInvariant) {
+  ReplicationSpec base = small_spec(23);
+  base.trace.node_count = 30;
+  base.duration = 2.0;
+  base.stable_from = 1.0;
+  auto specs = replicate(base, 6);
+  specs[1].config.connected_neighbors = 0;
+  specs[4].config.backup_replicas = 0;
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    const ExperimentRunner pool(jobs);
+    try {
+      (void)pool.run_all(specs);
+      ADD_FAILURE() << "jobs " << jobs << ": accepted an invalid spec";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("connected_neighbors"), std::string::npos)
+          << "jobs " << jobs << ": " << e.what();
+    }
+  }
 }
 
 // --- scenario matrix ------------------------------------------------------

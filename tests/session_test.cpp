@@ -523,9 +523,23 @@ TEST(SystemConfigValidate, RejectsBurstDurationWithoutBurstRate) {
   expect_rejected(config, "fault.burst_duration");
 }
 
-TEST(SystemConfigValidate, AcceptsTheFaultFamilyBurstPlan) {
-  // The f5_ family's bursts: 25 % loss for 2 s of every 10 s.
+TEST(SystemConfigValidate, RejectsBurstRateNotAboveLossRate) {
+  // Inert: the injector only bursts when burst_rate > loss_rate.
   auto config = small_config(1);
+  config.fault.loss_rate = 0.3;
+  config.fault.burst_rate = 0.2;
+  config.fault.burst_period = 10.0;
+  config.fault.burst_duration = 2.0;
+  expect_rejected(config, "fault.burst_rate");
+  config.fault.burst_rate = 0.3;
+  expect_rejected(config, "fault.burst_rate");
+}
+
+TEST(SystemConfigValidate, AcceptsTheFaultFamilyBurstPlan) {
+  // The f5_ family's bursts: 25 % loss for 2 s of every 10 s, over a
+  // 5 % base loss.
+  auto config = small_config(1);
+  config.fault.loss_rate = 0.05;
   config.fault.burst_rate = 0.25;
   config.fault.burst_period = 10.0;
   config.fault.burst_duration = 2.0;

@@ -307,9 +307,12 @@ TEST(EventQueue, EmptyActionRejectedConsistently) {
   batch.push_back({1.0, EventAction{}});
   EXPECT_THROW(q.queue.push_all(batch), std::invalid_argument);
   EXPECT_TRUE(q.queue.empty());
+  // No rejection leaked a pool slot: the first accepted event reuses
+  // slot 0, the one every rejected insert borrowed and gave back.
+  const EventId id = q.add(2.0, 7);
+  EXPECT_EQ(id & EventQueue::kSlotMask, 0u);
   // The queue stays usable: the reaped heap entries must not disturb
   // later scheduling.
-  q.add(2.0, 7);
   EXPECT_EQ(q.drain(), (std::vector<int>{7}));
   EXPECT_TRUE(q.queue.empty());
 }
